@@ -41,11 +41,11 @@ bench-durability:
 	PYTHONPATH=src python benchmarks/durability_bench.py --quick --out BENCH_durability.json
 
 # Quick duplicate-detection benchmark: the streaming/parallel pipeline
-# (packed pair keys, prepared record vectors, sharded scoring) vs the
-# naive tuple-set + per-pair framework.  Writes timings/speedups and the
-# candidate-set memory comparison to BENCH_dedup.json and fails if the
-# best parallel run is less than 5x the naive reference or any path is
-# not bit-identical.
+# (packed pair keys, columnar distinct-value-pair scoring, sharded
+# scoring) vs the naive tuple-set + per-pair framework.  Writes
+# timings/speedups and the candidate-set memory comparison to
+# BENCH_dedup.json and fails if the best parallel run is less than 5x
+# the naive reference or any path is not bit-identical.
 bench-dedup:
 	PYTHONPATH=src python benchmarks/dedup_bench.py --quick --out BENCH_dedup.json
 

@@ -2,8 +2,27 @@
 
 from __future__ import annotations
 
+import subprocess
 from pathlib import Path
 from typing import Iterable
+
+
+def git_sha() -> str:
+    """The checkout's commit for a BENCH file's provenance, or ``"unknown"``.
+
+    A ``-dirty`` suffix marks uncommitted changes on top of that commit.
+    """
+    try:
+        completed = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return completed.stdout.strip() or "unknown"
 
 
 def write_result(results_dir: Path, name: str, lines: Iterable[str]) -> None:

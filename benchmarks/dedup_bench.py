@@ -8,8 +8,8 @@ the paper's Section 6.5 detection three ways:
   per-pair record matcher re-deriving everything per call, and the
   uncached naive Monge-Elkan kernel;
 * ``streaming`` — :mod:`repro.dedup.pipeline` in one process: packed
-  64-bit candidate keys, prepared record vectors, batched scoring through
-  the fast kernels and the shared LRU;
+  64-bit candidate keys and columnar scoring that calls the fast kernels
+  once per distinct value pair;
 * ``parallel``  — the same pipeline with pair scoring sharded over a
   process pool, at each requested worker count.
 
@@ -33,6 +33,7 @@ import sys
 import time
 from typing import Dict, Optional, Sequence, Set, Tuple
 
+from bench_utils import git_sha
 from repro.core import RemovalLevel, TestDataGenerator, customize
 from repro.core.parallel import effective_worker_count
 from repro.dedup import (
@@ -141,7 +142,7 @@ def run_benchmark(
         naive, repeats
     )
 
-    # -- streaming: packed keys + prepared vectors, one process ------------
+    # -- streaming: packed keys + columnar scoring, one process ------------
     def streaming(workers: int = 0):
         def run():
             fast.clear_caches()
@@ -246,7 +247,9 @@ def run_benchmark(
         },
         "environment": {
             "python": sys.version.split()[0],
+            "git_sha": git_sha(),
             "cpu_count": os.cpu_count(),
+            "seed": config.seed,
             # Requested worker counts clamp to the CPU budget; the clamped
             # values are what the parallel runs actually used.
             "effective_workers": {

@@ -147,7 +147,7 @@ class EffectSummary:
     """Direct (intraprocedural) effects of one function or method."""
 
     #: Fully qualified name, e.g. ``repro.core.parallel._score_shard`` or
-    #: ``repro.dedup.matching.RecordMatcher.prepare``.
+    #: ``repro.dedup.matching.RecordMatcher.score_pairs``.
     qualname: str
     module: str
     name: str

@@ -21,13 +21,13 @@ Table 1/2 statistics of a store; ``customize`` extracts a
 heterogeneity-bounded test dataset as CSV plus a gold-pair file;
 ``evaluate`` sweeps thresholds for the three paper measures and reports
 the best F1 per measure; ``detect`` runs the streaming, parallel
-detection pipeline (packed candidate pairs, prepared record vectors,
-sharded pair scoring — bit-identical to ``evaluate`` at any worker
-count); ``recover`` replays a durable store's write-ahead logs and
-reports what crash recovery had to repair; ``scrub`` verifies the store's
-on-disk integrity (WAL CRC frames, snapshot checksums, sequence
-continuity) without modifying it and, with ``--repair``, salvages
-damaged files and lifts any quarantine.
+detection pipeline (packed candidate pairs, columnar scoring over
+distinct value pairs, sharded pair scoring — bit-identical to
+``evaluate`` at any worker count); ``recover`` replays a durable
+store's write-ahead logs and reports what crash recovery had to repair;
+``scrub`` verifies the store's on-disk integrity (WAL CRC frames,
+snapshot checksums, sequence continuity) without modifying it and, with
+``--repair``, salvages damaged files and lifts any quarantine.
 """
 
 from __future__ import annotations
@@ -345,8 +345,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     records, attributes, gold = _load_labeled_dataset(args)
 
     # Candidates are generated once (streamed, packed) and scored per
-    # measure through the prepared-vector batch path — bit-identical to
-    # the historical tuple-set + per-pair loop, measurably faster.
+    # measure through the columnar batch scorer (one measure call per
+    # distinct value pair) — bit-identical to the per-pair loop.
     pipeline = DetectionPipeline(window=args.window, passes=args.passes)
     candidate_keys, _stats = pipeline.candidates(records, attributes)
     record_count = len(records)
@@ -748,7 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="streaming parallel duplicate detection on a labeled dataset",
         description="Run the end-to-end detection pipeline "
         "(repro.dedup.pipeline): streamed multi-pass Sorted Neighborhood "
-        "candidates over packed pair keys, prepared-vector pair scoring — "
+        "candidates over packed pair keys, columnar pair scoring over "
+        "distinct value pairs — "
         "optionally sharded over worker processes — and a threshold sweep "
         "fed directly into evaluate_thresholds.  Results are bit-identical "
         "for every worker count.",

@@ -11,8 +11,8 @@ Section 6.5's setup:
 * classification by similarity threshold and evaluation as precision /
   recall / F1 over a threshold sweep (:mod:`repro.dedup.evaluate`);
 * a streaming, parallel end-to-end pipeline for all of the above at
-  register scale — packed candidate pairs, prepared record vectors,
-  sharded pair scoring — bit-identical to the naive framework
+  register scale — packed candidate pairs, columnar scoring over
+  distinct value pairs, sharded pair scoring — bit-identical to the naive framework
   (:mod:`repro.dedup.pipeline`).
 """
 
@@ -40,7 +40,6 @@ from repro.dedup.pipeline import (
     pack_pair,
     pack_pairs,
     score_candidates_packed,
-    score_pairs_batch,
     sorted_neighborhood_candidates,
     unpack_pair,
     unpack_pairs,
@@ -77,7 +76,7 @@ from repro.dedup.clustering import (
     connected_components,
     pairs_of_clusters,
 )
-from repro.dedup.matching import PreparedRecords, RecordMatcher
+from repro.dedup.matching import RecordMatcher
 
 __all__ = [
     "SortedNeighborhood",
@@ -88,7 +87,6 @@ __all__ = [
     "multipass_sorted_neighborhood",
     "pick_blocking_keys",
     "RecordMatcher",
-    "PreparedRecords",
     "DetectionPipeline",
     "DetectionResult",
     "CandidateStats",
@@ -115,7 +113,6 @@ __all__ = [
     "record_shingles",
     "shingle_record",
     "cosine_prefilter",
-    "score_pairs_batch",
     "score_candidates_packed",
     "EvaluationPoint",
     "best_f1",

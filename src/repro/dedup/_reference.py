@@ -5,7 +5,7 @@ The straightforward tuple-set / per-pair implementations that
 same two reasons as :mod:`repro.textsim._reference`:
 
 * the equivalence suite (``tests/dedup/test_pipeline_equivalence.py``)
-  asserts that packed-key candidate generation and prepared/batched/
+  asserts that packed-key candidate generation and columnar/batched/
   parallel pair scoring are **bit-identical** to these oracles;
 * the detection benchmark (``benchmarks/dedup_bench.py``) measures the
   streaming pipeline's speedup against them.

@@ -18,8 +18,7 @@ Everything here is deterministic and dependency-free:
   exactly like the record matcher does (``(value or "").strip()``),
   shingles it with :func:`repro.textsim.tokens.qgrams` (unpadded), and
   interns the grams through :func:`repro.textsim.fast.intern_values` so
-  repeated shingles across millions of records share one string object —
-  the same interning discipline as prepared record vectors.
+  repeated shingles across millions of records share one string object.
 * **Vocabulary and weights** (:func:`tfidf_vectors`) assign term ids in
   sorted shingle order (stable across runs and processes) and use the
   standard smoothed idf ``log((1 + n) / (1 + df)) + 1`` with L2

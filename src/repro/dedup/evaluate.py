@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
+from repro.dedup.matching import RecordMatcher
+
 Pair = Tuple[int, int]
 
 
@@ -67,7 +69,15 @@ def score_candidates(
     candidates: Iterable[Pair],
     matcher: Callable[[Dict[str, str], Dict[str, str]], float],
 ) -> Dict[Pair, float]:
-    """Similarity of every candidate pair (computed once for all sweeps)."""
+    """Similarity of every candidate pair (computed once for all sweeps).
+
+    A :class:`~repro.dedup.matching.RecordMatcher` scores all pairs in one
+    columnar batch (:meth:`~repro.dedup.matching.RecordMatcher.score_pairs`),
+    bit-identical to calling it per pair; any other callable is called
+    once per pair.
+    """
+    if isinstance(matcher, RecordMatcher):
+        return matcher.score_pairs(records, candidates)
     return {
         pair: matcher(records[pair[0]], records[pair[1]])
         for pair in candidates

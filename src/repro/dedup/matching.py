@@ -11,89 +11,25 @@ Two call forms, bit-identical to each other:
 
 * :meth:`RecordMatcher.similarity` — the per-pair path: strips and
   compares the raw record dicts on every call;
-* :meth:`RecordMatcher.prepare` + :meth:`PreparedRecords.pair_similarity`
-  — the batch path used by :mod:`repro.dedup.pipeline`: per-record value
-  vectors (stripped, interned) are computed **once per record** instead of
-  once per pair, and the name-permutation scores come from a per-pair
-  score matrix instead of re-resolving the cache inside every permutation.
+* :meth:`RecordMatcher.score_pairs` — the columnar batch path used by
+  :mod:`repro.dedup.pipeline` and :func:`repro.dedup.evaluate.score_candidates`:
+  values are interned to integer codes once per call, and the measure runs
+  once per *distinct* value pair of each attribute slot instead of once per
+  candidate pair.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from repro.core.heterogeneity import entropy_weights
-from repro.textsim import fast
-from repro.textsim.cache import LRUCache
 
 SimilarityFn = Callable[[str, str], float]
+Pair = Tuple[int, int]
 
 #: The attribute group matched 1:1 in its best permutation.
 DEFAULT_NAME_ATTRIBUTES = ("first_name", "midl_name", "last_name")
-
-#: Shared bounded value-similarity cache.  Detection runs create many
-#: matchers over the same snapshot values; a single LRU bounds the total
-#: memory (the old per-matcher dicts grew without limit) while still
-#: sharing hits across matchers.  Keys carry a per-matcher token so two
-#: matchers with different measures can never collide.
-#:
-#: **Process-local by design**: every worker process spawned by
-#: :func:`repro.core.parallel.run_shards` re-imports this module and gets
-#: its own empty cache; entries are pure functions of their keys and
-#: eviction can never change a result, so nothing a worker caches ever
-#: needs to (or can) reach the parent.  This invariant is registered in
-#: :data:`repro.analysis.concurrency.PROCESS_LOCAL_CACHES` and asserted
-#: by ``tests/dedup/test_cache_isolation.py``.
-_SHARED_CACHE: LRUCache = LRUCache(maxsize=131072)
-
-#: Process-local counter namespacing matcher cache keys; only uniqueness
-#: within one process matters (see PROCESS_LOCAL_CACHES), never the value.
-_matcher_tokens = itertools.count(1)
-
-
-class PreparedRecords:
-    """Per-record prepared value vectors for one matcher (see ``prepare``).
-
-    ``name_values[i]`` / ``other_values[i]`` hold record ``i``'s stripped,
-    interned values aligned with the matcher's name attributes and
-    (zero-weight-free) other attributes.  Scoring a pair through
-    :meth:`pair_similarity` touches only these tuples — the record dicts
-    are never consulted again.
-    """
-
-    __slots__ = ("matcher", "name_values", "other_values")
-
-    def __init__(
-        self,
-        matcher: "RecordMatcher",
-        name_values: List[Tuple[str, ...]],
-        other_values: List[Tuple[str, ...]],
-    ) -> None:
-        self.matcher = matcher
-        self.name_values = name_values
-        self.other_values = other_values
-
-    def __len__(self) -> int:
-        return len(self.name_values)
-
-    def pair_similarity(self, left_id: int, right_id: int) -> float:
-        """Similarity of two prepared records, bit-identical to
-        ``matcher.similarity(records[left_id], records[right_id])``."""
-        matcher = self.matcher
-        if matcher._total_weight == 0:
-            return 0.0
-        total = 0.0
-        if matcher.name_attributes:
-            total += matcher._name_assignment_score(
-                self.name_values[left_id], self.name_values[right_id]
-            )
-        value_similarity = matcher._value_similarity
-        left_values = self.other_values[left_id]
-        right_values = self.other_values[right_id]
-        for index, weight in enumerate(matcher._other_weights):
-            total += weight * value_similarity(left_values[index], right_values[index])
-        return total / matcher._total_weight
 
 
 class RecordMatcher:
@@ -136,8 +72,6 @@ class RecordMatcher:
         self._name_weights = tuple(self.weights[a] for a in self.name_attributes)
         # Hoisted out of similarity(): it was recomputed for every pair.
         self._total_weight = sum(self.weights.values())
-        self._cache = _SHARED_CACHE
-        self._cache_token = next(_matcher_tokens)
 
     @classmethod
     def from_records(
@@ -153,15 +87,11 @@ class RecordMatcher:
     def _value_similarity(self, left: str, right: str) -> float:
         if left == right:
             return 1.0
-        if left <= right:
-            key = (self._cache_token, left, right)
-        else:
-            key = (self._cache_token, right, left)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self.measure(key[1], key[2])
-            self._cache.put(key, cached)
-        return cached
+        # Canonical argument order, so an asymmetric measure gives the
+        # same score either way round (and matches :meth:`score_pairs`).
+        if left < right:
+            return self.measure(left, right)
+        return self.measure(right, left)
 
     def _name_assignment_score(
         self, left_values: Sequence[str], right_values: Sequence[str]
@@ -211,34 +141,6 @@ class RecordMatcher:
         right_values = tuple((right.get(a) or "").strip() for a in attributes)
         return self._name_assignment_score(left_values, right_values)
 
-    def prepare(self, records: Sequence[Dict[str, str]]) -> PreparedRecords:
-        """Precompute per-record value vectors for batch pair scoring.
-
-        Stripping, ``None`` handling and the name-value tuples happen once
-        per record here instead of once per pair inside ``similarity``;
-        values are interned (:func:`repro.textsim.fast.intern_values`) so
-        the equality short-circuits and cache-key comparisons in the hot
-        loop compare by pointer in the common case.  Scoring through the
-        returned :class:`PreparedRecords` is bit-identical to calling
-        :meth:`similarity` on the raw records.
-        """
-        name_attributes = self.name_attributes
-        other_attributes = self._other_attributes
-        name_values: List[Tuple[str, ...]] = []
-        other_values: List[Tuple[str, ...]] = []
-        for record in records:
-            name_values.append(
-                fast.intern_values(
-                    (record.get(a) or "").strip() for a in name_attributes
-                )
-            )
-            other_values.append(
-                fast.intern_values(
-                    (record.get(a) or "").strip() for a in other_attributes
-                )
-            )
-        return PreparedRecords(self, name_values, other_values)
-
     def similarity(self, left: Dict[str, str], right: Dict[str, str]) -> float:
         """Weighted average value similarity of two flat records."""
         if self._total_weight == 0:
@@ -252,6 +154,96 @@ class RecordMatcher:
                 (right.get(attribute) or "").strip(),
             )
         return total / self._total_weight
+
+    def score_pairs(
+        self, records: Sequence[Dict[str, str]], pairs: Iterable[Pair]
+    ) -> Dict[Pair, float]:
+        """``{(i, j): similarity(records[i], records[j])}`` in one batch.
+
+        Every float is bit-identical to :meth:`similarity` on the same pair.
+        Stripped values are interned to integer codes assigned in sorted
+        string order, so ``(min code, max code)`` is the ``(min str,
+        max str)`` argument order of :meth:`_value_similarity`.  Each name
+        slot pairing and each other attribute then calls the measure once
+        per distinct unequal code pair; equal values score 1.0 without a
+        call.  The results are gathered back per pair and accumulated in
+        :meth:`similarity`'s order: the best name permutation first, then
+        ``total += weight * score`` per other attribute, then the division.
+        """
+        import numpy as np
+
+        pairs = list(pairs)
+        count = len(pairs)
+        if self._total_weight == 0:
+            return dict.fromkeys(pairs, 0.0)
+        attributes = self.name_attributes + self._other_attributes
+        columns = [
+            [(record.get(attribute) or "").strip() for record in records]
+            for attribute in attributes
+        ]
+        values = sorted(set().union(*columns))
+        code_of = {value: code for code, value in enumerate(values)}
+        width = len(values)
+        ids = np.array(pairs, dtype=np.int64).reshape(count, 2)
+        left, right = ids[:, 0], ids[:, 1]
+        codes = [
+            np.fromiter(
+                (code_of[value] for value in column),
+                dtype=np.int64,
+                count=len(records),
+            )
+            for column in columns
+        ]
+        measure = self.measure
+
+        def slot_scores(left_codes, right_codes):
+            low = np.minimum(left_codes, right_codes)
+            high = np.maximum(left_codes, right_codes)
+            differ = low != high
+            scores = np.ones(count)
+            if differ.any():
+                distinct, inverse = np.unique(
+                    low[differ] * width + high[differ], return_inverse=True
+                )
+                scored = np.array(
+                    [
+                        measure(values[key // width], values[key % width])
+                        for key in distinct.tolist()
+                    ],
+                    dtype=np.float64,
+                )
+                scores[differ] = scored[inverse]
+            return scores
+
+        total = np.zeros(count)
+        names = len(self.name_attributes)
+        if names:
+            left_names = [codes[slot][left] for slot in range(names)]
+            right_names = [codes[slot][right] for slot in range(names)]
+            scores = [
+                [slot_scores(left_code, right_code) for right_code in right_names]
+                for left_code in left_names
+            ]
+            best = np.full(count, -1.0)
+            for permutation in itertools.permutations(range(names)):
+                permutation_total = np.zeros(count)
+                for index in range(names):
+                    permutation_total += (
+                        self._name_weights[index] * scores[index][permutation[index]]
+                    )
+                best = np.where(permutation_total > best, permutation_total, best)
+            # When every name value of both records is equal, the per-pair
+            # path takes _name_assignment_score's early exit: the slot-order
+            # weight sum, which the search above floors at -1.0.
+            all_equal = np.ones(count, dtype=bool)
+            for name_codes in (*left_names, *right_names):
+                all_equal &= name_codes == left_names[0]
+            equal_total = self._name_assignment_score(("",) * names, ("",) * names)
+            total += np.where(all_equal, equal_total, best)
+        for index, weight in enumerate(self._other_weights):
+            column = codes[names + index]
+            total += weight * slot_scores(column[left], column[right])
+        return dict(zip(pairs, (total / self._total_weight).tolist()))
 
     def __call__(self, left: Dict[str, str], right: Dict[str, str]) -> float:
         return self.similarity(left, right)

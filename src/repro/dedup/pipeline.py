@@ -17,16 +17,13 @@ oracles in :mod:`repro.dedup._reference` by
   union) and the pair set costs one machine word per pair instead of a
   tuple object plus two boxed ints (~4x less memory, measured in
   ``benchmarks/dedup_bench.py``).
-* **Prepared record vectors.**  Scoring uses
-  :meth:`repro.dedup.matching.RecordMatcher.prepare`: stripping, ``None``
-  handling, name-value tuples and weight normalisation happen once per
-  record instead of once per pair, with interned values
-  (:func:`repro.textsim.fast.intern_values`) so the hot-loop equality
-  checks compare by pointer.
-* **Batched scoring** (:func:`score_pairs_batch`) walks packed keys in
-  sorted order and shares the matcher's bounded LRU; the similarity
-  measures route through the thresholded/banded kernels of
-  :mod:`repro.textsim.fast` exactly as the per-pair path does.
+* **Columnar scoring over distinct value pairs.**
+  :meth:`repro.dedup.matching.RecordMatcher.score_pairs` interns every
+  attribute value to an integer code, deduplicates the candidates' code
+  pairs per attribute slot with ``numpy.unique`` and calls the measure
+  once per distinct unequal value pair — on register data a few percent
+  of the per-pair value comparisons — then gathers the scores back and
+  accumulates them in the per-pair matcher's exact order.
 * **Sharded parallel scoring** (:func:`score_candidates_packed` with
   ``max_workers > 0``) fans the packed keys over worker processes through
   :func:`repro.core.parallel.run_shards` — deterministic shard-by-pair-key
@@ -57,7 +54,7 @@ from repro.dedup.evaluate import (
     best_f1,
     evaluate_thresholds,
 )
-from repro.dedup.matching import PreparedRecords, RecordMatcher
+from repro.dedup.matching import RecordMatcher
 
 Pair = Tuple[int, int]
 
@@ -347,42 +344,22 @@ def blocking_candidates(
 # ------------------------------------------------------------ pair scoring
 
 
-def score_pairs_batch(
-    prepared: PreparedRecords,
-    keys: Iterable[int],
-    record_count: int,
-) -> Dict[Pair, float]:
-    """Score a batch of packed candidate keys through prepared vectors.
-
-    Returns ``{(i, j): similarity}`` with every float bit-identical to
-    ``matcher.similarity(records[i], records[j])`` — prepared vectors only
-    hoist work out of the pair loop, they never change an operation order.
-    """
-    pair_similarity = prepared.pair_similarity
-    similarities: Dict[Pair, float] = {}
-    for key in keys:
-        pair = divmod(key, record_count)
-        similarities[pair] = pair_similarity(pair[0], pair[1])
-    return similarities
-
-
 def _score_pairs_shard(
     records: Sequence[Dict[str, str]],
     measure: object,
     weights: Dict[str, float],
     name_attributes: Tuple[str, ...],
     keys: Sequence[int],
-    record_count: int,
 ) -> Dict[Pair, float]:
-    """Worker: rebuild the matcher, prepare once, score this shard's keys.
+    """Worker: rebuild the matcher and score this shard's keys.
 
     Only plain data (records, weights, the picklable measure, packed keys)
     crosses the process boundary; each worker keeps its own caches.  Pure —
     safe to retry (see :func:`repro.core.parallel.run_shards`).
     """
     matcher = RecordMatcher(measure, weights, name_attributes)  # type: ignore[arg-type]
-    prepared = matcher.prepare(records)
-    return score_pairs_batch(prepared, keys, record_count)
+    record_count = len(records)
+    return matcher.score_pairs(records, [divmod(key, record_count) for key in keys])
 
 
 def score_candidates_packed(
@@ -398,8 +375,9 @@ def score_candidates_packed(
 ) -> Dict[Pair, float]:
     """Similarity of every packed candidate key, optionally sharded.
 
-    ``max_workers=0``/``None`` scores in-process through one prepared
-    vector table.  With workers, keys shard deterministically by
+    ``max_workers=0``/``None`` scores in-process through one columnar
+    :meth:`~repro.dedup.matching.RecordMatcher.score_pairs` call.  With
+    workers, keys shard deterministically by
     ``shard_of_int(key, shards)`` and fan out over
     :func:`repro.core.parallel.run_shards` — worker crashes and timeouts
     retry with exponential backoff and ultimately degrade to in-process
@@ -415,11 +393,13 @@ def score_candidates_packed(
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     max_workers = effective_worker_count(max_workers, label="parallel pair scoring")
-    record_count = len(records)
     ordered = sorted(keys)
     if not max_workers or shards == 1:
         # A single shard gains nothing from a process round-trip.
-        return score_pairs_batch(matcher.prepare(records), ordered, record_count)
+        record_count = len(records)
+        return matcher.score_pairs(
+            records, [divmod(key, record_count) for key in ordered]
+        )
     buckets: List[List[int]] = [[] for _ in range(shards)]
     for key in ordered:
         buckets[shard_of_int(key, shards)].append(key)
@@ -433,7 +413,6 @@ def score_candidates_packed(
                 matcher.weights,
                 matcher.name_attributes,
                 bucket,
-                record_count,
             )
             for bucket in buckets
         ],

@@ -1,9 +1,7 @@
-"""A small bounded LRU cache shared by the similarity fast paths.
+"""A small bounded LRU cache for caller-assembled keys.
 
 :func:`functools.lru_cache` covers function-shaped caches; this class covers
-the cases where the key is assembled by the caller (e.g. the record matcher,
-which prefixes keys with a per-matcher token so independent matchers can
-share one bounded pool without colliding).
+the cases where the key is assembled by the caller.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ class LRUCache:
     can never leak between workers or affect determinism.  Module-level
     instances must cache pure functions of their keys and be registered in
     :data:`repro.analysis.concurrency.PROCESS_LOCAL_CACHES` (the R106
-    exemption registry); ``tests/dedup/test_cache_isolation.py`` asserts
-    the isolation.
+    exemption registry).
     """
 
     __slots__ = ("maxsize", "_data", "hits", "misses")

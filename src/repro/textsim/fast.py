@@ -204,12 +204,11 @@ def _banded_distance(
 def intern_values(values: Iterable[str]) -> Tuple[str, ...]:
     """Intern a sequence of attribute values into a tuple.
 
-    Prepared record vectors (:meth:`repro.dedup.matching.RecordMatcher.prepare`)
-    hold millions of heavily repeated strings; interning collapses them to
-    one object per distinct value, so the ``left == right`` short-circuits
-    and LRU cache-key comparisons in the pair-scoring hot loop resolve by
-    pointer identity instead of character comparison, and the vectors cost
-    one pointer per slot instead of one string copy.
+    Shingled records (:func:`repro.dedup.embeddings.record_shingles`) hold
+    millions of heavily repeated strings; interning collapses them to one
+    object per distinct value, so equality checks resolve by pointer
+    identity in the common case and each slot costs one pointer instead
+    of one string copy.
     """
     return tuple(sys.intern(value) for value in values)
 

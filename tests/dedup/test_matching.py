@@ -74,17 +74,14 @@ class TestRecordMatcher:
             pytest.approx(0.9611, abs=1e-4)
         )
 
-    def test_result_cached_across_calls(self):
-        calls = []
-
-        def counting(left, right):
-            calls.append((left, right))
-            return 0.5
-
-        matcher = RecordMatcher(counting, {"a": 1.0}, name_attributes=())
-        matcher.similarity({"a": "X"}, {"a": "Y"})
-        matcher.similarity({"a": "Y"}, {"a": "X"})  # symmetric -> cached
-        assert len(calls) == 1
+    def test_equal_value_pairs_do_not_collide_across_matchers(self):
+        left = RecordMatcher(lambda a, b: 0.25, {"a": 1.0})
+        right = RecordMatcher(lambda a, b: 0.75, {"a": 1.0})
+        # Same value pair, different measures: each matcher must keep
+        # returning its own measure's score.
+        for _ in range(2):
+            assert left._value_similarity("alpha", "beta") == 0.25
+            assert right._value_similarity("alpha", "beta") == 0.75
 
     def test_empty_weights_rejected(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,9 @@ equality — not approximate — for every optimised stage:
 
 * packed-key candidate generation (SNM and standard blocking) against the
   eager tuple-set oracles;
-* the micro-fixed / prepared-vector / batched matcher against the
-  historical per-pair ``similarity`` accumulation;
+* the columnar batch scorer (``RecordMatcher.score_pairs``, behind
+  ``score_candidates_packed`` and ``score_candidates``) against the
+  per-pair ``similarity`` accumulation;
 * sharded parallel scoring and the end-to-end ``DetectionPipeline``
   against the single-process sweep, for worker counts 0 / 1 / 4.
 """
@@ -33,7 +34,6 @@ from repro.dedup import (
     pack_pairs,
     score_candidates,
     score_candidates_packed,
-    score_pairs_batch,
     sorted_neighborhood_candidates,
     unpack_pair,
     unpack_pairs,
@@ -58,6 +58,18 @@ weights_strategy = st.fixed_dictionaries(
 
 def exact(left, right):
     return 1.0 if left == right else 0.0
+
+
+def asymmetric(left, right):
+    """Order-sensitive measure: pins the (min str, max str) argument order."""
+    return len(left) / (len(left) + 2 * len(right) + 1)
+
+
+# None, empty, whitespace-only and padded values next to the tiny alphabet.
+raw_value = st.one_of(
+    st.none(), st.sampled_from(["", " ", "  ", " A", "B ", "A B"]), value
+)
+raw_record = st.fixed_dictionaries({attribute: raw_value for attribute in ATTRIBUTES})
 
 
 class TestPackedKeys:
@@ -168,7 +180,8 @@ class TestMatcherEquivalence:
             for i in range(count)
             for j in range(i + 1, count)
         ]
-        batch = score_pairs_batch(matcher.prepare(records), keys, count)
+        batch = score_candidates_packed(records, keys, matcher)
+        assert len(batch) == len(keys)
         for (left_id, right_id), score in batch.items():
             assert score == matcher.similarity(records[left_id], records[right_id])
 
@@ -193,8 +206,82 @@ class TestMatcherEquivalence:
     def test_zero_total_weight_scores_zero(self):
         matcher = RecordMatcher(exact, {"city": 0.0}, name_attributes=())
         assert matcher.similarity({"city": "A"}, {"city": "A"}) == 0.0
-        prepared = matcher.prepare([{"city": "A"}, {"city": "A"}])
-        assert prepared.pair_similarity(0, 1) == 0.0
+        records = [{"city": "A"}, {"city": "B"}]
+        assert matcher.score_pairs(records, [(0, 1)]) == {(0, 1): 0.0}
+
+
+class TestColumnarScorer:
+    @given(
+        st.lists(raw_record, min_size=1, max_size=16),
+        weights_strategy,
+        st.integers(0, 3),
+        st.sampled_from([exact, asymmetric, MongeElkan()]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_pair_similarity(
+        self, records, weights, name_count, measure, data
+    ):
+        if sum(weights.values()) == 0:
+            weights["zip"] = 1.0
+        matcher = RecordMatcher(measure, weights, NAME_ATTRIBUTES[:name_count])
+        index = st.integers(0, len(records) - 1)
+        # Any orientation, self-pairs, repeats and the empty candidate set.
+        pairs = data.draw(st.lists(st.tuples(index, index), max_size=40))
+        expected = {
+            (i, j): matcher.similarity(records[i], records[j]) for i, j in pairs
+        }
+        assert matcher.score_pairs(records, pairs) == expected
+        assert score_candidates(records, pairs, matcher) == expected
+
+    def test_all_equal_names_keep_the_early_exit_total(self):
+        # Every name value equal: similarity() sums the weights in slot
+        # order instead of searching permutations from -1.0, which differs
+        # once the name weights sum below -1.0.
+        weights = {"first_name": -1.0, "midl_name": -1.0, "last_name": -1.0, "city": 5.0}
+        matcher = RecordMatcher(asymmetric, weights, NAME_ATTRIBUTES)
+        same = {"first_name": "A", "midl_name": "A", "last_name": "A", "city": "X"}
+        other = dict(same, city="Y")
+        records = [same, dict(same), other]
+        expected = {
+            (i, j): matcher.similarity(records[i], records[j])
+            for i, j in ((0, 1), (0, 2))
+        }
+        assert expected[(0, 1)] == (-3.0 + 5.0) / 2.0
+        assert matcher.score_pairs(records, [(0, 1), (0, 2)]) == expected
+
+    def test_measure_called_once_per_distinct_value_pair(self):
+        calls = []
+
+        def counting(left, right):
+            calls.append((left, right))
+            return 0.5
+
+        matcher = RecordMatcher(counting, {"a": 1.0}, name_attributes=())
+        records = [{"a": "X"}, {"a": "Y"}, {"a": " X "}, {"a": "Y"}]
+        scores = matcher.score_pairs(records, [(0, 1), (1, 2), (2, 3), (0, 2)])
+        assert scores == {(0, 1): 0.5, (1, 2): 0.5, (2, 3): 0.5, (0, 2): 1.0}
+        assert calls == [("X", "Y")]
+
+    @pytest.mark.parametrize("measure", [MongeElkan(), asymmetric])
+    def test_worker_and_shard_counts_bit_identical(self, small_dataset, measure):
+        records, _gold = small_dataset
+        matcher = RecordMatcher.from_records(
+            records, ATTRIBUTES, measure, NAME_ATTRIBUTES
+        )
+        packed, _stats = sorted_neighborhood_candidates(records, ATTRIBUTES[:3], 4)
+        results = [
+            score_candidates_packed(
+                records, packed, matcher, max_workers=workers, shards=shards
+            )
+            for workers, shards in ((0, 1), (1, 1), (2, 4))
+        ]
+        assert results[0] == {
+            pair: matcher.similarity(records[pair[0]], records[pair[1]])
+            for pair in results[0]
+        }
+        assert results[1] == results[0]
+        assert results[2] == results[0]
 
 
 @pytest.fixture(scope="module")
