@@ -28,6 +28,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
+from bench_utils import git_sha
 from repro.core import RemovalLevel, TestDataGenerator
 from repro.core import _reference as coreref
 from repro.core.heterogeneity import HeterogeneityScorer
@@ -147,7 +148,9 @@ def run_benchmark(
         },
         "environment": {
             "python": sys.version.split()[0],
+            "git_sha": git_sha(),
             "cpu_count": os.cpu_count(),
+            "seed": config.seed,
         },
         "timings": timings,
     }

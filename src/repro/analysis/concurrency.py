@@ -83,10 +83,6 @@ PROCESS_LOCAL_CACHES: Dict[str, str] = {
         "worker processes rebuilding their own copy is merely a warm-up "
         "cost, never a correctness issue"
     ),
-    "repro.textsim.cache.LRUCache": (
-        "the cache type itself: single-threaded per process by design "
-        "(see its docstring); parallelism is process-based"
-    ),
     "repro.textsim.fast.tokens_of": (
         "functools.lru_cache of a pure function; process-local by "
         "construction"

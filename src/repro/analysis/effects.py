@@ -64,7 +64,7 @@ MUTATING_METHODS = frozenset(
         "discard",
         "sort",
         "reverse",
-        "put",  # repro.textsim.cache.LRUCache
+        "put",
         "difference_update",
         "intersection_update",
         "symmetric_difference_update",
@@ -89,7 +89,6 @@ MUTABLE_CONSTRUCTORS = frozenset(
         "defaultdict",
         "Counter",
         "deque",
-        "LRUCache",
     }
 )
 

@@ -78,8 +78,8 @@ def is_typo(left: str, right: str) -> bool:
     left_lower, right_lower = left.lower(), right.lower()
     if left_lower == right_lower:
         return False
-    # Thresholded kernel: bails out via the Ukkonen band instead of running
-    # the full DP when the values are clearly more than one edit apart.
+    # Thresholded kernel: values whose lengths differ by more than one edit
+    # are rejected without computing a distance.
     return damerau_levenshtein_within(left_lower, right_lower, 1) == 1
 
 

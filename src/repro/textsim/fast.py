@@ -7,15 +7,18 @@ to the naive reference implementations in :mod:`repro.textsim._reference`
 (property-tested in ``tests/textsim/test_fast_equivalence.py``):
 
 * :func:`levenshtein_distance` / :func:`damerau_levenshtein_distance` —
-  common-prefix/suffix stripping, single-row (resp. rolling-row) DP over the
-  shorter remaining string, and cheap length-based short circuits;
-* :func:`levenshtein_within` / :func:`damerau_levenshtein_within` — banded
-  (Ukkonen) variants for callers that only need "distance ≤ k?", with
-  early exit as soon as a whole band row exceeds the threshold;
+  one bit-parallel kernel (Myers 1999, with Hyyrö's 2003 transposition
+  term for the restricted Damerau variant): per-character match masks of
+  the shorter string, one pass of word operations per character of the
+  longer string;
+* :func:`levenshtein_within` / :func:`damerau_levenshtein_within` — for
+  callers that only need "distance ≤ k?": a length prefilter, then the
+  exact distance compared to ``k``;
 * :func:`tokens_of` + :func:`monge_elkan_tokens` — token interning and a
   bounded shared LRU over token-pair similarities for the Monge-Elkan
   measures (voter attribute values repeat heavily, so the same token pairs
-  recur across millions of record pairs);
+  recur across millions of record pairs); two single-token values skip
+  the Monge-Elkan loops and score their token pair directly;
 * :func:`qgram_set` + :func:`jaccard_qgrams` — memoised q-gram sets and a
   count prefilter (:func:`jaccard_qgrams_at_least`) that rejects pairs from
   set sizes alone before any intersection is built.
@@ -29,173 +32,90 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.textsim.base import normalize_for_comparison
 from repro.textsim.tokens import qgrams, tokenize
 
 
-def _strip_common_affixes(left: str, right: str) -> Tuple[str, str]:
-    """Drop the common prefix and suffix of both strings.
+def _edit_distance(left: str, right: str, transpositions: bool) -> int:
+    """Levenshtein or restricted Damerau-Levenshtein (OSA) distance, bit-parallel.
 
-    Safe for Levenshtein and for the restricted Damerau-Levenshtein (OSA)
-    distance: an optimal alignment never needs to transpose across an equal
-    boundary character (transposing two equal characters is a no-op), so
-    matching equal prefix/suffix characters 1:1 is always optimal.
+    Myers' (1999) bit-vector algorithm in Hyyrö's (2003) formulation: bit
+    ``i`` of the per-character match masks stands for character ``i`` of
+    the shorter string, and one pass over the longer string updates the
+    vertical and horizontal delta vectors of a whole DP column in a few
+    word operations.  Python ints serve as unbounded bit-vectors, so any
+    length works.  With ``transpositions`` Hyyrö's transposition term is
+    added to the diagonal; without it the loop is exact Levenshtein.
     """
-    limit = min(len(left), len(right))
-    start = 0
-    while start < limit and left[start] == right[start]:
-        start += 1
-    end_left, end_right = len(left), len(right)
-    while end_left > start and end_right > start and left[end_left - 1] == right[end_right - 1]:
-        end_left -= 1
-        end_right -= 1
-    return left[start:end_left], right[start:end_right]
+    if left == right:
+        return 0
+    if len(left) > len(right):  # both measures are symmetric
+        left, right = right, left
+    if not left:
+        return len(right)
+    masks: Dict[str, int] = {}
+    bit = 1
+    for char in left:
+        masks[char] = masks.get(char, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    last = bit >> 1
+    keep = full if transpositions else 0
+    distance = len(left)
+    vp, vn, d0, pm_old = full, 0, 0, 0
+    get = masks.get
+    for char in right:
+        pm = get(char, 0)
+        # ``~d0`` is the previous column's: a transposition needs a
+        # mismatch there and a match of each character one row apart.
+        d0 = (((pm & vp) + vp) ^ vp) | pm | vn | (((~d0 & pm) << 1) & pm_old)
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(d0 | hp)) & full
+        vn = hp & d0
+        pm_old = pm & keep
+    return distance
 
 
 def levenshtein_distance(left: str, right: str) -> int:
     """Levenshtein distance; bit-identical to the naive DP, much faster."""
-    if left == right:
-        return 0
-    left, right = _strip_common_affixes(left, right)
-    if not left:
-        return len(right)
-    if not right:
-        return len(left)
-    if len(right) > len(left):  # keep the inner row short (symmetric measure)
-        left, right = right, left
-    previous = list(range(len(right) + 1))
-    for i, ch_left in enumerate(left, start=1):
-        diagonal = previous[0]
-        previous[0] = i
-        for j, ch_right in enumerate(right, start=1):
-            substitution = diagonal if ch_left == ch_right else diagonal + 1
-            diagonal = previous[j]
-            best = diagonal + 1  # deletion
-            insertion = previous[j - 1] + 1
-            if insertion < best:
-                best = insertion
-            if substitution < best:
-                best = substitution
-            previous[j] = best
-    return previous[-1]
+    return _edit_distance(left, right, transpositions=False)
 
 
 def damerau_levenshtein_distance(left: str, right: str) -> int:
     """Restricted Damerau-Levenshtein (OSA) distance, fast path."""
-    if left == right:
-        return 0
-    left, right = _strip_common_affixes(left, right)
-    if not left:
-        return len(right)
-    if not right:
-        return len(left)
-    if len(right) > len(left):  # OSA is symmetric — shorten the inner row
-        left, right = right, left
-    len_r = len(right)
-    two_ago: Optional[list] = None
-    one_ago = list(range(len_r + 1))
-    for i in range(1, len(left) + 1):
-        ch_left = left[i - 1]
-        current = [i] + [0] * len_r
-        for j in range(1, len_r + 1):
-            ch_right = right[j - 1]
-            best = one_ago[j - 1] if ch_left == ch_right else one_ago[j - 1] + 1
-            deletion = one_ago[j] + 1
-            if deletion < best:
-                best = deletion
-            insertion = current[j - 1] + 1
-            if insertion < best:
-                best = insertion
-            if (
-                i > 1
-                and j > 1
-                and ch_left == right[j - 2]
-                and left[i - 2] == ch_right
-            ):
-                transposition = two_ago[j - 2] + 1  # type: ignore[index]
-                if transposition < best:
-                    best = transposition
-            current[j] = best
-        two_ago, one_ago = one_ago, current
-    return one_ago[-1]
+    return _edit_distance(left, right, transpositions=True)
 
 
 def levenshtein_within(left: str, right: str, max_dist: int) -> Optional[int]:
     """Levenshtein distance if it is ``<= max_dist``, else ``None``.
 
-    A banded (Ukkonen) DP: only cells with ``|i - j| <= max_dist`` are
-    evaluated, and the scan aborts as soon as a whole band row exceeds the
-    threshold.  The returned distance (when not ``None``) is exact.
+    Pairs whose length difference alone exceeds the bound are rejected
+    without running the kernel; otherwise the exact distance is compared
+    to ``max_dist``.
     """
-    return _banded_distance(left, right, max_dist, transpositions=False)
+    return _within(left, right, max_dist, transpositions=False)
 
 
 def damerau_levenshtein_within(left: str, right: str, max_dist: int) -> Optional[int]:
     """Restricted Damerau-Levenshtein distance if ``<= max_dist``, else ``None``."""
-    return _banded_distance(left, right, max_dist, transpositions=True)
+    return _within(left, right, max_dist, transpositions=True)
 
 
-def _banded_distance(
-    left: str, right: str, max_dist: int, transpositions: bool
-) -> Optional[int]:
+def _within(left: str, right: str, max_dist: int, transpositions: bool) -> Optional[int]:
     if max_dist < 0:
         raise ValueError(f"max_dist must be >= 0, got {max_dist}")
-    if left == right:
-        return 0
-    if max_dist == 0:
+    if abs(len(left) - len(right)) > max_dist:
         return None
-    left, right = _strip_common_affixes(left, right)
-    if len(right) > len(left):
-        left, right = right, left
-    len_l, len_r = len(left), len(right)
-    if len_l - len_r > max_dist:
-        return None
-    if not len_r:
-        return len_l  # 0 < len_l <= max_dist after the length prefilter
-    big = max_dist + 1
-    two_ago: Optional[list] = None
-    one_ago = list(range(len_r + 1))
-    for i in range(1, len_l + 1):
-        ch_left = left[i - 1]
-        lo = i - max_dist
-        if lo < 1:
-            lo = 1
-        hi = i + max_dist
-        if hi > len_r:
-            hi = len_r
-        current = [big] * (len_r + 1)
-        if i <= max_dist:
-            current[0] = i
-        row_min = big
-        for j in range(lo, hi + 1):
-            ch_right = right[j - 1]
-            best = one_ago[j - 1] if ch_left == ch_right else one_ago[j - 1] + 1
-            deletion = one_ago[j] + 1
-            if deletion < best:
-                best = deletion
-            insertion = current[j - 1] + 1
-            if insertion < best:
-                best = insertion
-            if (
-                transpositions
-                and i > 1
-                and j > 1
-                and ch_left == right[j - 2]
-                and left[i - 2] == ch_right
-            ):
-                transposition = two_ago[j - 2] + 1  # type: ignore[index]
-                if transposition < best:
-                    best = transposition
-            current[j] = best
-            if best < row_min:
-                row_min = best
-        if row_min > max_dist:
-            return None
-        two_ago, one_ago = one_ago, current
-    result = one_ago[len_r]
-    return result if result <= max_dist else None
+    distance = _edit_distance(left, right, transpositions)
+    return distance if distance <= max_dist else None
 
 
 # --------------------------------------------------------------- Monge-Elkan
@@ -269,9 +189,21 @@ def monge_elkan_tokens(
 
 
 def symmetric_monge_elkan_cached(left: str, right: str) -> float:
-    """Symmetrised Monge-Elkan with the DL internal measure, fully cached."""
+    """Symmetrised Monge-Elkan with the DL internal measure, fully cached.
+
+    Two single-token values score their token-pair similarity directly:
+    both directions are that same cached float, and ``(s + s) / 2 == s``
+    exactly, so the shortcut is bit-identical.
+    """
     tokens_left = tokens_of(normalize_for_comparison(left))
     tokens_right = tokens_of(normalize_for_comparison(right))
+    if len(tokens_left) == 1 and len(tokens_right) == 1:
+        token_a, token_b = tokens_left[0], tokens_right[0]
+        if token_a == token_b:
+            return 1.0
+        if token_a < token_b:
+            return _token_pair_dl_similarity(token_a, token_b)
+        return _token_pair_dl_similarity(token_b, token_a)
     forward = monge_elkan_tokens(tokens_left, tokens_right)
     backward = monge_elkan_tokens(tokens_right, tokens_left)
     return (forward + backward) / 2.0

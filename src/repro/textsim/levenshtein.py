@@ -44,9 +44,9 @@ def damerau_levenshtein_distance(left: str, right: str) -> int:
 def levenshtein_within(left: str, right: str, max_dist: int) -> Optional[int]:
     """Levenshtein distance when it is ``<= max_dist``, else ``None``.
 
-    The thresholded kernel runs a banded (Ukkonen) DP and exits early, which
-    makes "is the distance at most k?" questions — SNM candidate matching,
-    typo classification — much cheaper than computing the full distance.
+    Pairs whose lengths differ by more than ``max_dist`` are rejected
+    without computing a distance; otherwise the exact distance is compared
+    to the bound.
     """
     return fast.levenshtein_within(left, right, max_dist)
 

@@ -2,9 +2,10 @@
 
 :mod:`repro.textsim.fast` keeps a naive oracle next to it
 (:mod:`repro.textsim._reference`) precisely so this suite can assert exact
-equality — not approximate — for every optimised kernel: affix stripping,
-single-row DP, the banded ``*_within`` variants, token-interned Monge-Elkan
-and the q-gram count prefilter.
+equality — not approximate — for every optimised kernel: the bit-parallel
+edit-distance kernel (short strings, strings longer than one machine word,
+non-ASCII text), the length-prefiltered ``*_within`` variants, token-interned
+Monge-Elkan with its single-token shortcut and the q-gram count prefilter.
 """
 
 import itertools
@@ -33,6 +34,11 @@ tight = st.text(alphabet="AB", max_size=8)
 word = st.text(alphabet=string.ascii_uppercase, max_size=12)
 name_text = st.text(alphabet=string.ascii_uppercase + " -'", max_size=20)
 bound = st.integers(min_value=0, max_value=6)
+# Past 64 characters the kernel's bit-vectors span several machine words.
+long_tight = st.text(alphabet="AB", min_size=60, max_size=200)
+# Precomposed umlauts, sharp s and a combining acute accent (U+0301).
+accented = st.text(alphabet="ÄÖÜßé\u0301", max_size=12)
+wide_bound = st.integers(min_value=0, max_value=20)
 
 
 @given(st.one_of(tight, word), st.one_of(tight, word))
@@ -65,12 +71,58 @@ def test_damerau_within_matches_reference(left, right, max_dist):
     assert damerau_levenshtein_within(left, right, max_dist) == expected
 
 
+@given(long_tight, long_tight)
+@settings(max_examples=40, deadline=None)
+def test_long_strings_match_reference(left, right):
+    assert levenshtein_distance(left, right) == ref.levenshtein_distance(left, right)
+    assert damerau_levenshtein_distance(left, right) == ref.damerau_levenshtein_distance(
+        left, right
+    )
+
+
+@given(st.one_of(accented, word), st.one_of(accented, word))
+@settings(max_examples=300)
+def test_non_ascii_matches_reference(left, right):
+    assert levenshtein_distance(left, right) == ref.levenshtein_distance(left, right)
+    assert damerau_levenshtein_distance(left, right) == ref.damerau_levenshtein_distance(
+        left, right
+    )
+
+
+@given(
+    st.one_of(tight, word, accented, long_tight),
+    st.one_of(tight, word, accented, long_tight),
+    wide_bound,
+)
+@settings(max_examples=200, deadline=None)
+def test_within_wide_bounds_match_reference(left, right, max_dist):
+    lev = ref.levenshtein_distance(left, right)
+    assert levenshtein_within(left, right, max_dist) == (lev if lev <= max_dist else None)
+    osa = ref.damerau_levenshtein_distance(left, right)
+    assert damerau_levenshtein_within(left, right, max_dist) == (
+        osa if osa <= max_dist else None
+    )
+
+
+@given(st.one_of(tight, word, long_tight), st.text(alphabet="AB", max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_within_at_the_length_difference_bound(base, extra):
+    """Appended characters cost exactly their count: the bound is tight."""
+    longer = base + extra
+    assert levenshtein_within(base, longer, len(extra)) == ref.levenshtein_distance(
+        base, longer
+    )
+    assert damerau_levenshtein_within(
+        longer, base, len(extra)
+    ) == ref.damerau_levenshtein_distance(longer, base)
+
+
 def test_exhaustive_small_alphabet():
-    """Every pair over {A, B} up to length 4 — all kernels, all bounds."""
+    """Every pair over {A, B, C} up to length 4 — all kernels, all bounds."""
     values = [
         "".join(chars)
         for length in range(5)
-        for chars in itertools.product("AB", repeat=length)
+        for chars in itertools.product("ABC", repeat=length)
     ]
     for left in values:
         for right in values:
@@ -93,6 +145,42 @@ def test_monge_elkan_matches_reference(left, right):
 @given(name_text, name_text)
 @settings(max_examples=200)
 def test_symmetric_monge_elkan_matches_reference(left, right):
+    assert symmetric_monge_elkan(left, right) == ref.symmetric_monge_elkan(left, right)
+
+
+# Values of zero, one or several tokens (with runs of spaces), so the
+# single-token shortcut and the general Monge-Elkan loop both run.
+token_values = st.lists(
+    st.text(alphabet="ABCDE", min_size=1, max_size=6), max_size=3
+).flatmap(
+    lambda tokens: st.sampled_from([" ".join(tokens), "  ".join(tokens) + " "])
+)
+
+
+@given(token_values, token_values)
+@settings(max_examples=300)
+def test_symmetric_monge_elkan_token_counts_match_reference(left, right):
+    assert symmetric_monge_elkan(left, right) == ref.symmetric_monge_elkan(left, right)
+    assert symmetric_monge_elkan(left.lower(), right.lower()) == (
+        ref.symmetric_monge_elkan(left.lower(), right.lower())
+    )
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("SMITH", "SMYTH"),  # one token each: the shortcut
+        ("SMYTH", "SMITH"),  # same pair, other order
+        ("SMITH", "SMITH"),
+        ("AB", "BA"),
+        ("SMITH", "JOHN SMITH"),  # one token against two
+        ("MARY ANN", "ANN MARIE"),
+        ("", "SMITH"),  # empty against one token
+        ("", ""),
+        ("   ", "SMITH"),
+    ],
+)
+def test_symmetric_monge_elkan_edge_pairs_match_reference(left, right):
     assert symmetric_monge_elkan(left, right) == ref.symmetric_monge_elkan(left, right)
 
 
