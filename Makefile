@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-concurrency typecheck bench bench-scoring bench-docstore bench-durability bench-dedup bench-lsh bench-shards bench-hotpath bench-robustness test-faults test-chaos examples validate-docs clean
+.PHONY: install test lint lint-concurrency typecheck bench bench-scoring bench-docstore bench-durability bench-dedup bench-lsh bench-hotpath bench-robustness test-faults test-chaos examples validate-docs clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -59,15 +59,6 @@ bench-dedup:
 bench-lsh:
 	PYTHONPATH=src python benchmarks/lsh_bench.py --quick --out BENCH_lsh.json
 
-# Quick sharding benchmark: single-shard routing vs scatter-gather vs the
-# unsharded baseline, plus concurrent snapshot readers against a
-# committing writer.  Writes timings to BENCH_shards.json; fails if point
-# routing misses parity with unsharded (≥1.0x after timer noise),
-# scatter-gather misses its gate (>1.5x on 2+ CPUs, parity on one CPU),
-# or readers stall/tear.
-bench-shards:
-	PYTHONPATH=src python benchmarks/shards_bench.py --quick --out BENCH_shards.json
-
 # Quick hot-path benchmark: warm vs cold plan cache on repeated point
 # reads, lazy vs eager result materialization on scan-heavy reads, and
 # batched vs per-op durable inserts under fsync-every-record.  Writes
@@ -88,7 +79,7 @@ bench-robustness:
 # The crash-consistency suite: fault-injection sweeps over every I/O
 # operation plus the fault-tolerant parallel scoring tests.
 test-faults:
-	pytest tests/docstore/test_faults.py tests/docstore/test_wal.py tests/core/test_fault_tolerance.py tests/docstore/test_sharding.py
+	pytest tests/docstore/test_faults.py tests/docstore/test_wal.py tests/core/test_fault_tolerance.py
 
 # The chaos suite: everything test-faults runs plus the scrubber,
 # quarantine/degraded-read and repair tests.

@@ -61,7 +61,7 @@ SNM_PASSES = 5
 SNM_WINDOW = 20
 
 #: LSH configuration under test (the library defaults plus the cosine
-#: prefilter; see docs/performance.md Layer 7 for the tuning table).
+#: prefilter; see docs/performance.md Layer 6 for the tuning table).
 LSH_BANDS = 16
 LSH_ROWS = 4
 LSH_NGRAM = 3

@@ -5,11 +5,11 @@ Exercises the storage robustness layer (``repro.faults``,
 
 * ``fault_sweep`` — every failure mode of the fault model (``crash``,
   ``torn``, ``eio``, ``enospc``, ``partial_fsync``) injected at every
-  filesystem operation of a sharded generate→commit→checkpoint workload.
-  Each point must leave the store *recovered or quarantined, never
-  silently wrong*: the reopened (possibly degraded) state has to equal
-  the healthy-shard projection of a committed state.  Any other outcome
-  aborts the benchmark.
+  filesystem operation of a generate→commit→checkpoint workload.  Each
+  point must leave the store *recovered or quarantined, never silently
+  wrong*: the reopened (possibly degraded) state has to equal a committed
+  state with every quarantined collection read as empty.  Any other
+  outcome aborts the benchmark.
 * ``scrub`` — offline :func:`repro.docstore.scrub_database` throughput
   (documents and bytes per second) over a checkpointed register of
   ``--documents`` voter-shaped documents.
@@ -37,17 +37,13 @@ import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from bench_utils import git_sha
 from repro import faults
-from repro.docstore import (
-    DegradedReadWarning,
-    DurableDatabase,
-    scrub_database,
-    shard_key_shard,
-)
+from repro.docstore import DegradedReadWarning, DurableDatabase, scrub_database
 
 FAULT_MODES = ("crash", "torn", "eio", "enospc", "partial_fsync")
 
-#: Shard-key values covering every shard of the 3-way sweep workload.
+#: Documents of the sweep workload.
 _SWEEP_IDS = ("AA1", "AA2", "AA7", "AA3", "AA5", "AA9")
 
 
@@ -66,7 +62,7 @@ def _document(n: int) -> dict:
 
 
 def _sweep_workload(directory: Path, mark=None) -> None:
-    database = DurableDatabase(directory, shards=3)
+    database = DurableDatabase(directory)
     docs = database["docs"]
     for index, ncid in enumerate(_SWEEP_IDS):
         docs.insert_one({"_id": ncid, "ncid": ncid, "n": index})
@@ -97,15 +93,12 @@ def _doc_state(database) -> Dict[str, List[str]]:
     return state
 
 
-def _projection(state, quarantined, shards=3):
-    projected = {}
-    for name, blobs in state.items():
-        dark = quarantined.get(name, set())
-        projected[name] = [
-            blob for blob in blobs
-            if shard_key_shard(str(json.loads(blob).get("ncid")), shards)
-            not in dark
-        ]
+def _projection(state, quarantined):
+    projected = {
+        name: [] if name in quarantined else blobs for name, blobs in state.items()
+    }
+    for name in quarantined:
+        projected.setdefault(name, [])
     return projected
 
 
@@ -128,11 +121,11 @@ def bench_fault_sweep(directory: Path) -> Dict:
                     _sweep_workload(target)
                 except (faults.CrashError, OSError):
                     pass
-            reopened = DurableDatabase(target, shards=3)
+            reopened = DurableDatabase(target)
             quarantined = {
-                name: set(reopened[name].quarantined_shards)
+                name
                 for name in reopened.collection_names()
-                if reopened[name].quarantined_shards
+                if reopened[name].quarantined
             }
             actual = _doc_state(reopened)
             reopened.close(commit=False)
@@ -166,7 +159,7 @@ def bench_fault_sweep(directory: Path) -> Dict:
 
 def bench_scrub(directory: Path, documents: int) -> Dict:
     store = directory / "scrub-register"
-    database = DurableDatabase(store, shards=4)
+    database = DurableDatabase(store)
     collection = database.get_collection("clusters")
     for n in range(documents):
         collection.insert_one(_document(n))
@@ -251,7 +244,10 @@ def run_benchmark(documents: int, updates: int) -> Dict:
             },
             "environment": {
                 "python": sys.version.split()[0],
+                "git_sha": git_sha(),
                 "cpu_count": os.cpu_count(),
+                # Every workload is generated without randomness.
+                "seed": None,
             },
             "timings": {
                 "fault_sweep": bench_fault_sweep(scratch / "sweep"),

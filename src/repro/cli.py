@@ -137,13 +137,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    import warnings
-
-    from repro.docstore import (
-        DegradedReadError,
-        DegradedReadWarning,
-        StorageCorruptError,
-    )
+    from repro.docstore import DegradedReadError, StorageCorruptError
 
     try:
         database = Database.load(Path(args.store))
@@ -167,14 +161,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     try:
         result = clusters.aggregate(pipeline)
     except DegradedReadError as exc:
-        # A quarantined shard darkens part of the store; report what the
-        # healthy shards hold rather than nothing, and say so loudly.
-        print(f"WARNING: store is degraded ({exc})")
-        print("statistics below cover the healthy shards only; run "
-              "'scrub --repair' to salvage and lift the quarantine")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedReadWarning)
-            result = clusters.aggregate(pipeline, allow_degraded=True)
+        print(f"store is degraded: {exc}")
+        print("run 'scrub --store ... --repair' to salvage and lift the "
+              "quarantine")
+        return 1
     if not result:
         print("store is empty")
         return 1
@@ -206,12 +196,25 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print()
         print(render_year_stats(snapshot_year_stats(rows)))
     if args.layout:
-        from repro.report import render_resilience, render_shard_stats
+        from repro.report import render_resilience, render_table
 
         stats = database.stats()
         print()
         print("storage layout:")
-        print(render_shard_stats(stats))
+        print(
+            render_table(
+                ("collection", "documents", "indexes", "quarantined"),
+                (
+                    (
+                        name,
+                        entry["documents"],
+                        ",".join(entry["indexes"]) or "-",
+                        "yes" if entry["quarantined"] else "-",
+                    )
+                    for name, entry in sorted(stats["collections"].items())
+                ),
+            )
+        )
         print()
         print("resilience:")
         print(render_resilience(stats))
@@ -618,18 +621,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.customize:
         diagnostics.extend(analyze_customization(_load_spec(args.customize)))
     if collection is not None and (filter_doc is not None or pipeline is not None):
-        # Against a real store we also know the indexes and shard layout,
-        # so index-usage (I4xx) and shard-routing (I407) hints apply.
+        # Against a real store we also know the indexes, so index-usage
+        # (I4xx) hints apply.
         from repro.analysis import analyze_index_usage
 
-        nshards = getattr(collection, "nshards", 1)
         diagnostics.extend(
             analyze_index_usage(
                 filter_doc,
                 pipeline=pipeline if isinstance(pipeline, list) else None,
                 indexes=collection.index_specs(),
-                shard_key=collection.shard_key if nshards > 1 else None,
-                shards=nshards,
             )
         )
 
@@ -722,8 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--store", required=True)
     stats.add_argument(
         "--layout", action="store_true",
-        help="also print the storage layout: per-collection shard counts, "
-        "per-shard document counts and balance factor",
+        help="also print the storage layout (per-collection document "
+        "counts, indexes, quarantine) and the resilience counters",
     )
     stats.set_defaults(func=_cmd_stats)
 

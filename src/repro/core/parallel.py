@@ -129,9 +129,8 @@ def reset_resilience_counters() -> None:
 
 @functools.lru_cache(maxsize=1)
 def _cpu_count() -> int:
-    """``os.cpu_count()`` memoized: constant per process, queried on every
-    routed read (the docstore's scatter-gather fan-out sizes its pool per
-    query), so the OS lookup is paid once instead of per operation."""
+    """``os.cpu_count()`` memoized: constant per process, queried every
+    time a pool is sized, so the OS lookup is paid once."""
     return os.cpu_count() or 1
 
 
@@ -228,34 +227,6 @@ def run_shards(
         for index in pending:
             results[index] = worker(*shard_args[index])
     return results
-
-
-def run_read_shards(
-    worker: Callable[..., Any],
-    shard_args: Sequence[Tuple],
-    max_workers: Optional[int],
-    *,
-    label: str = "parallel read shards",
-) -> List[Any]:
-    """Run ``worker(*args)`` per shard in *threads*; results in input order.
-
-    The thread-based sibling of :func:`run_shards`, for read-only fan-out
-    over shared in-memory state (the docstore's scatter-gather reads):
-    nothing is pickled and workers may hold references into live data
-    structures, which a process pool cannot.  Worker counts clamp to the
-    CPU count like :func:`run_shards`; note that pure-Python scans gain no
-    CPU parallelism under the GIL — the fan-out exists for structure and
-    for workloads that release the GIL.  Exceptions propagate unchanged
-    (reads are not retried: they are deterministic, so a failure is a bug).
-    """
-    max_workers = effective_worker_count(max_workers, label=label)
-    if max_workers <= 1 or len(shard_args) <= 1:
-        return [worker(*args) for args in shard_args]
-    with concurrent.futures.ThreadPoolExecutor(
-        max_workers=min(max_workers, len(shard_args))
-    ) as pool:
-        futures = [pool.submit(worker, *args) for args in shard_args]
-        return [future.result() for future in futures]
 
 
 def shard_of(entity_id: str, shards: int) -> int:

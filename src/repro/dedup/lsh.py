@@ -72,7 +72,7 @@ _PRIME = (1 << 61) - 1
 #: Default LSH geometry: 16 bands of 4 rows ≈ a 0.5 shingle-Jaccard
 #: knee — pairs at j = 0.6 collide with p ≈ 0.90, pairs at j = 0.2 with
 #: p ≈ 0.025 — tuned for typo-heavy voter records (see
-#: ``docs/performance.md``, Layer 7, for the tuning table).
+#: ``docs/performance.md``, Layer 6, for the tuning table).
 DEFAULT_BANDS = 16
 DEFAULT_ROWS = 4
 

@@ -471,7 +471,7 @@ class DetectionPipeline:
     same entropy-picked attributes, and ``("snm", "lsh")`` unions both
     through one deduplicating packed-key set.  The LSH geometry is tuned
     with ``bands`` / ``rows`` / ``ngram`` / ``max_bucket_size`` /
-    ``cosine_floor`` (see ``docs/performance.md``, Layer 7); its
+    ``cosine_floor`` (see ``docs/performance.md``, Layer 6); its
     signature computation shares the pipeline's ``workers`` / ``shards``
     settings and stays bit-identical for every configuration.
     """

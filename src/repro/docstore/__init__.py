@@ -14,14 +14,14 @@ capabilities the pipeline relies on:
   $sort/$limit/...`` pipelines for filtering, transformation, grouping and
   sorting.
 
-Collections can be hash-partitioned into N shards keyed by a per-collection
-shard key (default ``ncid``): point queries on the shard key route to a
-single partition, everything else scatter-gathers with bit-identical
-results, and readers see snapshot-isolated epochs published atomically at
-``commit()``.  See ``docs/data-model.md``.
+Each collection keeps its documents and indexes in one copy-on-write
+partition: writers mutate a live state, ``commit()`` publishes it
+atomically, and snapshot readers keep the epoch they pinned.  See
+``docs/data-model.md``.
 
 Persistence is line-delimited JSON per collection plus a database manifest,
-so datasets survive process restarts and can be shipped as plain files.
+so datasets survive process restarts and can be shipped as plain files;
+durable databases add one write-ahead log per collection.
 
 Queries and pipelines can additionally be vetted *before* execution by the
 static analyzer in :mod:`repro.analysis`; see
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from repro.docstore.collection import Collection, CollectionSnapshot
 from repro.docstore.database import Database, DatabaseReadView, DurableDatabase
-from repro.docstore.partition import Partition, fallback_shard, shard_key_shard
+from repro.docstore.partition import Partition
 from repro.docstore.documents import get_path, set_path, unset_path
 from repro.docstore.errors import (
     CollectionNotFound,
@@ -63,8 +63,6 @@ __all__ = [
     "Collection",
     "CollectionSnapshot",
     "Partition",
-    "shard_key_shard",
-    "fallback_shard",
     "DocStoreError",
     "DuplicateKeyError",
     "QueryError",

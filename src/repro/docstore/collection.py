@@ -1,19 +1,17 @@
 """Collections: CRUD, indexes and aggregation over documents.
 
-Storage is partitioned: a collection owns N hash shards
-(:class:`~repro.docstore.partition.Partition`), each with its own document
-map, ``_id`` map and secondary indexes.  ``shards=1`` (the default) is the
-classic single-dict store; sharded collections place documents by the
-collection's ``shard_key`` (``ncid`` by default — string values hash to a
-shard, everything else falls back to an ``_id`` hash) and reads route:
-a filter that pins the shard key touches one shard, anything else
-scatter-gathers with k-way merges that reproduce the unsharded order
-bit-for-bit (:mod:`repro.docstore.planner`).
+A collection owns one :class:`~repro.docstore.partition.Partition`: a
+document map, an ``_id`` map and the secondary indexes, published in
+copy-on-write epochs.  Writers mutate the live state; ``Database.commit``
+publishes it in one reference assignment, and
+:class:`CollectionSnapshot` readers keep the epoch they pinned while the
+live state moves on.  Reads go through the cost-based planner
+(:mod:`repro.docstore.planner`) and its per-collection plan cache
+(:mod:`repro.docstore.plancache`).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import warnings
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -28,19 +26,14 @@ from repro.docstore.errors import (
     QueryError,
 )
 from repro.docstore.indexes import HashIndex, build_index
-from repro.docstore.matching import compile_filter
-from repro.docstore.partition import Partition, fallback_shard, shard_key_shard
+from repro.docstore.partition import Partition
 from repro.docstore.plancache import PlanCache
 from repro.docstore.planner import (
-    count_sharded,
-    execute_partial_group,
-    execute_sharded_find,
+    Plan,
+    count_matching,
+    execute_find,
     iter_matching_ids,
-    iter_sharded_matching,
-    partial_group_spec,
     plan_read,
-    plan_states,
-    route_shards,
     split_pushdown,
 )
 from repro.docstore.views import lazy_document, wrap_value
@@ -68,10 +61,6 @@ class Collection:
     :class:`QueryError` — with did-you-mean hints — before a single document
     is scanned.  Attach a :class:`repro.analysis.SchemaPaths` via ``schema``
     to additionally validate dotted field paths in strict mode.
-
-    ``shards``/``shard_key`` select the partition layout (see the module
-    docstring); ``read_workers`` > 1 fans scatter-gather reads out over
-    threads (:func:`repro.core.parallel.run_read_shards`).
     """
 
     def __init__(
@@ -79,12 +68,8 @@ class Collection:
         name: str,
         analysis_mode: str = "lax",
         schema: Optional[Any] = None,
-        shards: int = 1,
-        shard_key: str = "ncid",
         copy_mode: str = "lazy",
     ) -> None:
-        if shards < 1:
-            raise QueryError(f"shards must be >= 1, got {shards}")
         if copy_mode not in _COPY_MODES:
             raise QueryError(
                 f"copy_mode must be one of {_COPY_MODES}, got {copy_mode!r}"
@@ -93,11 +78,8 @@ class Collection:
         self.analysis_mode = analysis_mode
         #: Optional ``repro.analysis.SchemaPaths`` for field-path validation.
         self.schema = schema
-        self.shard_key = shard_key
         #: ``"lazy"`` = copy-on-read document views, ``"eager"`` = deep copies.
         self.copy_mode = copy_mode
-        #: Thread fan-out for scatter-gather reads (0/1 = sequential).
-        self.read_workers = 0
         #: Monotonic write counter: every mutation (and index build) bumps
         #: it, invalidating the plan cache's epoch-scoped entries.
         self._write_epoch = 0
@@ -105,83 +87,46 @@ class Collection:
         self._plan_cache = PlanCache()
         #: Escape hatch (and benchmark knob): ``False`` forces cold planning.
         self.plan_cache_enabled = True
-        self._partitions: List[Partition] = [Partition() for _ in range(shards)]
-        #: The last committed epoch as ONE tuple, reassigned atomically at
-        #: the end of :meth:`_publish`.  Snapshots read this single
-        #: attribute instead of walking ``partition.published`` one shard
-        #: at a time, so a snapshot taken while a commit is publishing
-        #: sees the whole old epoch or the whole new one — never a mix.
-        self._published_states: Tuple[Any, ...] = tuple(
-            partition.published for partition in self._partitions
-        )
+        self._partition = Partition()
         self._next_internal_id = itertools.count(1)
-        #: Sticky count of placements that saw a *list* shard-key value.
-        #: Any such document disables shard-key routing permanently (it
-        #: matches string equalities but is fallback-placed), which keeps
-        #: routing sound for snapshots taken at any epoch.
-        self._shard_key_lists = 0
-        #: Highest committed WAL sequence number replayed into this
-        #: collection (set by recovery; journaling resumes after it).
-        self._replayed_seq = 0
-        #: Partition indices recovery took dark (corrupt WAL/snapshot).
-        #: Reads touching them raise :class:`DegradedReadError` (or skip
-        #: them under ``allow_degraded=True``); writes are refused.  Their
-        #: partitions are emptied, so ``len``/iteration see healthy shards.
-        self._quarantined: set = set()
+        #: Set by recovery when the collection's WAL or snapshot is corrupt.
+        #: A quarantined collection holds no documents: reads raise
+        #: :class:`DegradedReadError` (or return nothing under
+        #: ``allow_degraded=True``) and writes are refused.
+        self._quarantined = False
         #: Reads that opted into degraded results (resilience counter).
         self._degraded_reads = 0
-        #: Write-ahead-log hook ``(op, payload, partition) -> None`` set by
+        #: Write-ahead-log hook ``(op, payload) -> None`` set by
         #: :class:`~repro.docstore.database.DurableDatabase`; ``None`` keeps
         #: the collection purely in-memory.  Called *after* the in-memory
         #: mutation succeeds; the hook serializes immediately, so later
         #: mutation of the same document cannot corrupt the journal.
         self._journal: Optional[Any] = None
-        #: Batched journal hook ``(op, [(partition, payload), ...]) -> None``
-        #: set alongside ``_journal``; one WAL write + one fsync per batch.
+        #: Batched journal hook ``(op, [payload, ...]) -> None`` set
+        #: alongside ``_journal``; one WAL write + one fsync per batch.
         #: Falls back to per-op ``_journal`` calls when unset.
         self._journal_many: Optional[Any] = None
 
-    # ------------------------------------------------------------ partitions
-
-    @property
-    def nshards(self) -> int:
-        """Number of hash partitions (1 = unsharded)."""
-        return len(self._partitions)
+    # ----------------------------------------------------------------- state
 
     @property
     def _documents(self) -> Dict[int, dict]:
-        """The live document map (merged across shards when sharded).
-
-        For ``shards=1`` this is *the* partition's map (same object the
-        planner mutates against); sharded collections return a merged copy
-        — used only by oracles and tests, never on a hot path.
-        """
-        if len(self._partitions) == 1:
-            return self._partitions[0].live._documents
-        merged: Dict[int, dict] = {}
-        for partition in self._partitions:
-            merged.update(partition.live._documents)
-        return merged
+        """The live document map (the object the planner reads)."""
+        return self._partition.live._documents
 
     @property
     def _by_user_id(self) -> Dict[Any, int]:
-        if len(self._partitions) == 1:
-            return self._partitions[0].live._by_user_id
-        merged: Dict[Any, int] = {}
-        for partition in self._partitions:
-            merged.update(partition.live._by_user_id)
-        return merged
+        return self._partition.live._by_user_id
 
     @property
     def _indexes(self) -> Dict[str, Any]:
-        """Partition 0's live indexes (every partition has the same specs)."""
-        return self._partitions[0].live._indexes
+        return self._partition.live._indexes
 
     @_indexes.setter
     def _indexes(self, value: Dict[str, Any]) -> None:
-        # Test hook (index spies et al.); only meaningful for shards=1.
+        # Test hook (index spies et al.).
         self._bump_epoch()
-        self._partitions[0].writable()._indexes = value
+        self._partition.writable()._indexes = value
 
     def _bump_epoch(self) -> None:
         """Invalidate epoch-scoped plan-cache entries (called before writes)."""
@@ -205,173 +150,92 @@ class Collection:
         already holds.  Exposing makes the next ``writable_document``
         deep-copy first; pure write runs (no interleaved reads) keep the
         mutate-in-place fast path.  Eager mode returns independent deep
-        copies and needs no exposure; snapshot reads serve published
-        states, which writers copy rather than mutate.
+        copies and needs no exposure; snapshot reads serve the published
+        state, which writers copy rather than mutate.
         """
         if self.copy_mode == "lazy":
-            for partition in self._partitions:
-                partition.expose()
+            self._partition.expose()
 
-    def _placement(self, stored: dict) -> int:
-        """Partition index a stored document belongs to."""
-        shards = len(self._partitions)
-        if shards == 1:
-            return 0
-        value = get_path(stored, self.shard_key, default=None)
-        if isinstance(value, list):
-            self._shard_key_lists += 1
-            value = None
-        if isinstance(value, str):
-            return shard_key_shard(value, shards)
-        return fallback_shard(_freeze_id(stored.get("_id")), shards)
-
-    def _route(self, filter_doc: Optional[dict]) -> List[int]:
-        """Partition indices a filter must touch (in index order)."""
-        shards = len(self._partitions)
-        if shards == 1:
-            return [0]
-        if self._shard_key_lists:
-            return list(range(shards))
-        routed = route_shards(self.shard_key, shards, filter_doc)
-        return list(range(shards)) if routed is None else routed
-
-    def _plan_routed(
-        self,
-        filter_doc: Optional[dict],
-        sort: Optional[List[tuple]] = None,
-    ) -> Tuple[List[Any], List[Any]]:
-        """Route, then plan the read per touched partition state.
+    def _plan(
+        self, filter_doc: Optional[dict], sort: Optional[List[tuple]] = None
+    ) -> Plan:
+        """Plan a read against the live state.
 
         Served from the per-collection plan cache when enabled: an exactly
-        repeated query replays its routed indices and bound plans, a new
-        query of a known shape skips option pricing, and any write since
-        the last lookup invalidates both (epoch check).
+        repeated query replays its bound plan, a new query of a known
+        shape skips option pricing, and any write since the last lookup
+        invalidates both (epoch check).
         """
         if self.plan_cache_enabled:
-            return self._plan_cache.routed_plans(self, filter_doc, sort)
-        states = [self._partitions[i].live for i in self._route(filter_doc)]
-        if not states and filter_doc:
-            compile_filter(filter_doc)  # malformed filters raise as usual
-        return states, plan_states(states, filter_doc, sort)
-
-    def _read_workers(self, states: List[Any]) -> int:
-        return self.read_workers if len(states) > 1 else 0
+            return self._plan_cache.plan(self, filter_doc, sort)
+        return plan_read(self._partition.live, filter_doc, sort)
 
     # ------------------------------------------------------------ quarantine
 
     @property
-    def quarantined_shards(self) -> List[int]:
-        """Partition indices currently quarantined (empty when healthy)."""
-        return sorted(self._quarantined)
+    def quarantined(self) -> bool:
+        """Whether recovery took this collection dark."""
+        return self._quarantined
 
-    def _quarantine_shards(self, indices: Iterable[int]) -> None:
-        """Take shards dark: swap in empty partitions with fresh indexes.
+    def _quarantine(self) -> None:
+        """Take the collection dark: swap in an empty partition.
 
         Called by recovery *after* replay.  The partition is replaced, not
-        merely flagged, so documents a stale snapshot loaded into the dark
-        shard can never be served as live data — the authoritative copy is
-        whatever sits in the quarantine directory until ``repair()``.
+        merely flagged, so documents a stale snapshot loaded can never be
+        served as live data — the authoritative copy is whatever sits in
+        the quarantine directory until ``repair()``.  Index specs survive,
+        so a later checkpoint still records them.
         """
         specs = self.index_specs()
         self._bump_epoch()
-        for index in indices:
-            partition = Partition()
-            state = partition.live
-            for spec in specs:
-                built = build_index(spec["kind"], spec["path"])
-                built.flush()
-                state._indexes[f"{spec['path']}_{spec['kind']}"] = built
-            self._partitions[index] = partition
-            self._quarantined.add(index)
-        # Re-pin the published epoch so snapshots can never resurrect the
-        # dark shards' stale states (healthy entries are unchanged).
-        self._published_states = tuple(
-            partition.published for partition in self._partitions
-        )
+        partition = Partition()
+        for spec in specs:
+            built = build_index(spec["kind"], spec["path"])
+            built.flush()
+            partition.live._indexes[f"{spec['path']}_{spec['kind']}"] = built
+        self._partition = partition
+        self._quarantined = True
 
-    def _healthy_route(
-        self,
-        filter_doc: Optional[dict],
-        *,
-        allow_degraded: bool = False,
-        op: str = "read",
-        write: bool = False,
-    ) -> List[int]:
-        """Route, then enforce the quarantine policy on the touched shards.
+    def _check_quarantine(
+        self, op: str, *, allow_degraded: bool = False, write: bool = False
+    ) -> None:
+        """Enforce the quarantine policy before ``op`` touches the collection.
 
-        Healthy collections (the overwhelmingly common case) route as
-        usual.  When the routing of a degraded collection touches a
-        quarantined shard: writes raise :class:`DegradedWriteError`, reads
-        raise :class:`DegradedReadError` unless ``allow_degraded`` — which
-        instead warns (:class:`DegradedReadWarning`) and returns the
-        healthy subset.
+        Healthy collections (the overwhelmingly common case) pass.  On a
+        quarantined collection writes raise :class:`DegradedWriteError` and
+        reads raise :class:`DegradedReadError` unless ``allow_degraded`` —
+        which instead warns (:class:`DegradedReadWarning`) and lets the read
+        run over the (empty) quarantined state.
         """
-        indices = self._route(filter_doc)
         if not self._quarantined:
-            return indices
-        touched = [index for index in indices if index in self._quarantined]
-        if not touched:
-            return indices
+            return
         if write:
-            raise DegradedWriteError(self.name, touched, op)
+            raise DegradedWriteError(self.name, op)
         if not allow_degraded:
-            raise DegradedReadError(self.name, touched, op)
+            raise DegradedReadError(self.name, op)
         warnings.warn(
             DegradedReadWarning(
-                f"{op} on collection {self.name!r} skipped quarantined "
-                f"shard(s) {sorted(touched)}; results cover healthy shards only"
+                f"{op} on quarantined collection {self.name!r} returned no "
+                f"documents; repair() the database to restore them"
             ),
             stacklevel=3,
         )
         self._degraded_reads += 1
-        return [index for index in indices if index not in self._quarantined]
 
-    def _plan_healthy(
-        self,
-        filter_doc: Optional[dict],
-        sort: Optional[List[tuple]] = None,
-        *,
-        allow_degraded: bool = False,
-        op: str = "read",
-    ) -> Tuple[List[Any], List[Any]]:
-        """:meth:`_plan_routed` with the quarantine policy applied.
-
-        Degraded collections bypass the plan cache entirely: its memoized
-        shard routes survive epoch bumps by design and know nothing about
-        quarantine, so a cached scatter route could silently read a dark
-        shard's (empty) partition without raising.
-        """
-        if not self._quarantined:
-            return self._plan_routed(filter_doc, sort)
-        indices = self._healthy_route(
-            filter_doc, allow_degraded=allow_degraded, op=op
-        )
-        states = [self._partitions[i].live for i in indices]
-        if not states and filter_doc:
-            compile_filter(filter_doc)
-        return states, plan_states(states, filter_doc, sort)
+    # ------------------------------------------------------------ snapshots
 
     def snapshot(self) -> "CollectionSnapshot":
         """A consistent read-only view of the last published epoch.
 
-        The view pins every partition's ``published`` state: a concurrent
-        writer copies before mutating (copy-on-write), so the snapshot's
-        results never change — even while a commit publishes a new epoch.
+        The view pins the ``published`` state: a concurrent writer copies
+        before mutating (copy-on-write), so the snapshot's results never
+        change — even while a commit publishes a new epoch.
         """
         return CollectionSnapshot(self)
 
     def _publish(self) -> None:
-        """Publish the live state of every partition (commit barrier).
-
-        Per-partition publication (index flushes included) happens first;
-        the final tuple assignment is the single atomic step that makes
-        the new epoch visible to :meth:`snapshot`.
-        """
-        for partition in self._partitions:
-            partition.publish()
-        self._published_states = tuple(
-            partition.published for partition in self._partitions
-        )
+        """Publish the live state (commit barrier)."""
+        self._partition.publish()
 
     # ------------------------------------------------------------------ CRUD
 
@@ -379,46 +243,43 @@ class Collection:
         """Insert ``document`` and return its ``_id``."""
         if not isinstance(document, dict):
             raise QueryError(f"documents must be dicts, got {type(document).__name__}")
+        self._check_quarantine("insert", write=True)
         self._bump_epoch()
         stored = deep_copy(document)
         internal_id = next(self._next_internal_id)
         if "_id" not in stored:
             stored["_id"] = internal_id
         user_id = _freeze_id(stored["_id"])
-        for partition in self._partitions:
-            if user_id in partition.live._by_user_id:
-                raise DuplicateKeyError(
-                    f"duplicate _id {stored['_id']!r} in collection {self.name!r}"
-                )
-        target = self._placement(stored)
-        if target in self._quarantined:
-            raise DegradedWriteError(self.name, [target], "insert")
-        partition = self._partitions[target]
-        state = partition.writable()
+        if user_id in self._partition.live._by_user_id:
+            raise DuplicateKeyError(
+                f"duplicate _id {stored['_id']!r} in collection {self.name!r}"
+            )
+        state = self._partition.writable()
         state._documents[internal_id] = stored
         state._by_user_id[user_id] = internal_id
         for index in state._indexes.values():
             index.add(internal_id, stored)
             index.flush()
-        partition.own(internal_id)
-        self._log("insert", {"doc": stored}, target)
+        self._partition.own(internal_id)
+        self._log("insert", {"doc": stored})
         return stored["_id"]
 
     def insert_many(self, documents: Iterable[dict]) -> List[Any]:
         """Insert every document; returns the list of assigned ``_id``s.
 
-        Bulk path: documents are validated, placed and id-assigned in
-        order, then applied per partition in one pass (one copy-on-write
-        clone per partition, one index delta per document, one batched
-        journal append per partition instead of one WAL write + fsync per
-        op).  Error semantics match the per-op loop exactly: on the first
-        invalid document the already-validated prefix is inserted and
-        journaled, then the error raises.
+        Bulk path: documents are validated and id-assigned in order, then
+        applied in one pass (one copy-on-write clone, one index delta per
+        document, one batched journal append instead of one WAL write +
+        fsync per op).  Error semantics match the per-op loop exactly: on
+        the first invalid document the already-validated prefix is
+        inserted and journaled, then the error raises.
         """
+        self._check_quarantine("insert", write=True)
         self._bump_epoch()
         assigned: List[Any] = []
-        staged: List[Tuple[int, dict, int]] = []  # (partition, stored, iid)
+        staged: List[Tuple[dict, int]] = []  # (stored, internal id)
         batch_user_ids: set = set()
+        existing = self._partition.live._by_user_id
         error: Optional[Exception] = None
         for document in documents:
             if not isinstance(document, dict):
@@ -431,48 +292,33 @@ class Collection:
             if "_id" not in stored:
                 stored["_id"] = internal_id
             user_id = _freeze_id(stored["_id"])
-            duplicate = user_id in batch_user_ids or any(
-                user_id in partition.live._by_user_id
-                for partition in self._partitions
-            )
-            if duplicate:
+            if user_id in batch_user_ids or user_id in existing:
                 error = DuplicateKeyError(
                     f"duplicate _id {stored['_id']!r} in collection {self.name!r}"
                 )
                 break
             batch_user_ids.add(user_id)
-            target = self._placement(stored)
-            if target in self._quarantined:
-                error = DegradedWriteError(self.name, [target], "insert")
-                break
-            staged.append((target, stored, internal_id))
+            staged.append((stored, internal_id))
             assigned.append(stored["_id"])
 
-        touched: Dict[int, Any] = {}
-        for target, stored, internal_id in staged:
-            state = touched.get(target)
-            if state is None:
-                state = touched[target] = self._partitions[target].writable()
-            state._documents[internal_id] = stored
-            state._by_user_id[_freeze_id(stored["_id"])] = internal_id
-            for index in state._indexes.values():
-                index.add(internal_id, stored)
-            self._partitions[target].own(internal_id)
-        # One sorted-run merge per touched partition for the whole batch;
-        # flushing here (not on first read) keeps shared-state reads
-        # logically read-only, so concurrent ``find``s never race.
-        for state in touched.values():
+        if staged:
+            partition = self._partition
+            state = partition.writable()
+            for stored, internal_id in staged:
+                state._documents[internal_id] = stored
+                state._by_user_id[_freeze_id(stored["_id"])] = internal_id
+                for index in state._indexes.values():
+                    index.add(internal_id, stored)
+                partition.own(internal_id)
+            # One sorted-run merge for the whole batch; flushing here (not
+            # on first read) keeps shared-state reads logically read-only,
+            # so concurrent ``find``s never race.
             for index in state._indexes.values():
                 index.flush()
-        if staged:
-            self._log_many(
-                "insert",
-                [(target, {"doc": stored}) for target, stored, _ in staged],
-            )
+            self._log_many("insert", [{"doc": stored} for stored, _ in staged])
         if error is not None:
-            # Always a QueryError, DuplicateKeyError or DegradedWriteError
-            # staged above; raised here so the validated prefix lands first
-            # (per-op parity).
+            # Always a QueryError or DuplicateKeyError staged above; raised
+            # here so the validated prefix lands first (per-op parity).
             raise error  # repro: ignore[L004]
         return assigned
 
@@ -492,27 +338,22 @@ class Collection:
         range conditions resolve through hash/sorted indexes, a
         single-field ``sort`` matching a sorted index streams in index
         order with no sorting, and only the returned ``skip``/``limit``
-        window is ever deep-copied.  On a sharded collection a filter
-        pinning the shard key routes to a single partition; anything else
-        scatter-gathers with an order-preserving k-way merge.
+        window is ever deep-copied.
 
-        On a degraded (partially quarantined) collection a query whose
-        routing touches a dark shard raises :class:`DegradedReadError`;
-        ``allow_degraded=True`` instead returns the healthy shards'
-        results with a :class:`DegradedReadWarning`.
+        On a quarantined collection this raises :class:`DegradedReadError`;
+        ``allow_degraded=True`` instead returns no documents with a
+        :class:`DegradedReadWarning`.
         """
         self._check_filter(filter_doc)
+        self._check_quarantine("find", allow_degraded=allow_degraded)
         self._expose_for_read()
-        states, plans = self._plan_healthy(
-            filter_doc, sort, allow_degraded=allow_degraded, op="find"
-        )
+        plan = self._plan(filter_doc, sort)
         results = list(
-            execute_sharded_find(
-                states,
-                plans,
+            execute_find(
+                self._partition.live,
+                plan,
                 skip=skip,
                 limit=limit,
-                max_workers=self._read_workers(states),
                 materialize=self._materialize,
             )
         )
@@ -530,28 +371,23 @@ class Collection:
         """Distinct values of ``path`` over matching documents.
 
         Array values are expanded element-wise (MongoDB semantics); the
-        result is sorted by ``repr`` for determinism.  Without a filter,
-        hash indexes on ``path`` whose keys are all strings answer straight
-        from the indexes, never touching a document.
+        result is sorted by ``repr`` for determinism.  Without a filter, a
+        hash index on ``path`` whose keys are all strings answers straight
+        from the index, never touching a document.
         """
         self._check_filter(filter_doc)
-        indices = self._healthy_route(
-            filter_doc, allow_degraded=allow_degraded, op="distinct"
-        )
+        self._check_quarantine("distinct", allow_degraded=allow_degraded)
         if not filter_doc:
-            indexes = [
-                self._partitions[i].live._indexes.get(f"{path}_hash")
-                for i in indices
-            ]
-            if all(isinstance(index, HashIndex) for index in indexes):
-                keys = [key for index in indexes for key in index.keys()]
+            index = self._partition.live._indexes.get(f"{path}_hash")
+            if isinstance(index, HashIndex):
+                keys = list(index.keys())
                 if all(key is None or isinstance(key, str) for key in keys):
                     seen = {repr(key): key for key in keys if key is not None}
                     return [seen[key] for key in sorted(seen)]
         seen = {}
         copy_value = self._copy_value
         self._expose_for_read()
-        for document in self._scan(filter_doc, indices=indices):
+        for document in self._scan(filter_doc):
             value = get_path(document, path, default=None)
             values = value if isinstance(value, list) else [value]
             for element in values:
@@ -566,11 +402,10 @@ class Collection:
         allow_degraded: bool = False,
     ) -> Optional[dict]:
         """Return the first matching document or ``None``."""
+        self._check_quarantine("find_one", allow_degraded=allow_degraded)
         materialize = self._materialize
         self._expose_for_read()
-        for document in self._scan(
-            filter_doc, allow_degraded=allow_degraded, op="find_one"
-        ):
+        for document in self._scan(filter_doc):
             return materialize(document)
         return None
 
@@ -584,22 +419,13 @@ class Collection:
 
         When the filter is fully covered by the chosen index access (no
         residual predicate), this is a pure index count — no document is
-        loaded or matched.  Sharded counts sum the per-partition counts.
+        loaded or matched.
         """
+        self._check_quarantine("count_documents", allow_degraded=allow_degraded)
         if not filter_doc:
-            if not self._quarantined:
-                return len(self)
-            indices = self._healthy_route(
-                None, allow_degraded=allow_degraded, op="count_documents"
-            )
-            return sum(
-                len(self._partitions[i].live._documents) for i in indices
-            )
+            return len(self)
         self._check_filter(filter_doc)
-        states, plans = self._plan_healthy(
-            filter_doc, allow_degraded=allow_degraded, op="count_documents"
-        )
-        return count_sharded(states, plans)
+        return count_matching(self._partition.live, self._plan(filter_doc))
 
     def _check_update(self, update: dict) -> None:
         if self.analysis_mode == "strict":
@@ -613,101 +439,64 @@ class Collection:
     def update_one(self, filter_doc: dict, update: dict) -> int:
         """Apply ``update`` to the first match; returns 0 or 1."""
         self._check_update(update)
+        self._check_quarantine("update_one", write=True)
         self._bump_epoch()
-        for index, internal_id in self._scan_partitions(
-            filter_doc, write=True, op="update_one"
-        ):
-            document = self._partitions[index].writable_document(internal_id)
-            self._apply_update(index, internal_id, document, update)
-            index = self._migrate_if_moved(index, internal_id, document)
-            self._log("replace", {"id": document["_id"], "doc": document}, index)
+        for internal_id in self._matching_ids(filter_doc):
+            document = self._partition.writable_document(internal_id)
+            self._apply_update(internal_id, document, update)
+            self._log("replace", {"id": document["_id"], "doc": document})
             return 1
         return 0
 
     def update_many(self, filter_doc: dict, update: dict) -> int:
         """Apply ``update`` to every match; returns the match count."""
         self._check_update(update)
+        self._check_quarantine("update_many", write=True)
         self._bump_epoch()
-        touched = list(
-            self._scan_partitions(filter_doc, write=True, op="update_many")
-        )
-        for index, internal_id in touched:
-            document = self._partitions[index].writable_document(internal_id)
-            self._apply_update(index, internal_id, document, update)
-            index = self._migrate_if_moved(index, internal_id, document)
-            self._log("replace", {"id": document["_id"], "doc": document}, index)
+        touched = list(self._matching_ids(filter_doc))
+        for internal_id in touched:
+            document = self._partition.writable_document(internal_id)
+            self._apply_update(internal_id, document, update)
+            self._log("replace", {"id": document["_id"], "doc": document})
         return len(touched)
 
     def replace_one(self, filter_doc: dict, replacement: dict) -> int:
         """Replace the first matching document wholesale (keeps its ``_id``)."""
+        self._check_quarantine("replace_one", write=True)
         self._bump_epoch()
-        for index, internal_id in self._scan_partitions(
-            filter_doc, write=True, op="replace_one"
-        ):
-            partition = self._partitions[index]
+        for internal_id in self._matching_ids(filter_doc):
+            partition = self._partition
             state = partition.writable()
             document = state._documents[internal_id]
-            for spec_index in state._indexes.values():
-                spec_index.remove(internal_id, document)
+            for index in state._indexes.values():
+                index.remove(internal_id, document)
             stored = deep_copy(replacement)
             stored["_id"] = document["_id"]
             state._documents[internal_id] = stored
-            for spec_index in state._indexes.values():
-                spec_index.add(internal_id, stored)
-                spec_index.flush()
+            for index in state._indexes.values():
+                index.add(internal_id, stored)
+                index.flush()
             partition.own(internal_id)
-            index = self._migrate_if_moved(index, internal_id, stored)
-            self._log("replace", {"id": stored["_id"], "doc": stored}, index)
+            self._log("replace", {"id": stored["_id"], "doc": stored})
             return 1
         return 0
 
     def delete_many(self, filter_doc: dict) -> int:
         """Delete every matching document; returns the delete count."""
+        self._check_quarantine("delete_many", write=True)
         self._bump_epoch()
-        doomed = list(
-            self._scan_partitions(filter_doc, write=True, op="delete_many")
-        )
-        for index, internal_id in doomed:
-            partition = self._partitions[index]
+        doomed = list(self._matching_ids(filter_doc))
+        partition = self._partition
+        for internal_id in doomed:
             state = partition.writable()
             document = state._documents[internal_id]
-            for spec_index in state._indexes.values():
-                spec_index.remove(internal_id, document)
+            for index in state._indexes.values():
+                index.remove(internal_id, document)
             del state._by_user_id[_freeze_id(document["_id"])]
             del state._documents[internal_id]
             partition._owned.discard(internal_id)
-            self._log("delete", {"id": document["_id"]}, index)
+            self._log("delete", {"id": document["_id"]})
         return len(doomed)
-
-    def _migrate_if_moved(
-        self, partition_index: int, internal_id: int, document: dict
-    ) -> int:
-        """Re-place a document whose shard-key value changed; returns shard."""
-        if len(self._partitions) == 1:
-            return partition_index
-        target = self._placement(document)
-        if target == partition_index:
-            return partition_index
-        if target in self._quarantined:
-            # Fail-stop: a shard-key rewrite cannot move a document into a
-            # shard whose journal is dark (the op could never be replayed).
-            raise DegradedWriteError(self.name, [target], "migrate")
-        source_partition = self._partitions[partition_index]
-        source = source_partition.writable()
-        for index in source._indexes.values():
-            index.remove(internal_id, document)
-        del source._documents[internal_id]
-        del source._by_user_id[_freeze_id(document["_id"])]
-        source_partition._owned.discard(internal_id)
-        target_partition = self._partitions[target]
-        state = target_partition.writable()
-        state._documents[internal_id] = document
-        state._by_user_id[_freeze_id(document["_id"])] = internal_id
-        for index in state._indexes.values():
-            index.add(internal_id, document)
-            index.flush()
-        target_partition.own(internal_id)
-        return target
 
     def aggregate(
         self, pipeline: List[dict], *, allow_degraded: bool = False
@@ -723,10 +512,7 @@ class Collection:
         down into the query planner: they run through index accesses and
         windowed, lazily-copied reads, so the remaining stages see an
         already-narrowed stream instead of a deep copy of the whole
-        collection.  On a sharded scatter, an eligible ``$group`` (or
-        ``$count``) immediately after the pushdown is computed as exact
-        per-partition partials and combined — bit-identical to streaming
-        the merged scan through the stage.
+        collection.
         """
         if self.analysis_mode == "strict":
             from repro.analysis import analyze_pipeline, require_clean
@@ -736,56 +522,26 @@ class Collection:
                 f"pipeline for collection {self.name!r}",
             )
         pushdown = split_pushdown(pipeline)
-        rest = pushdown.rest
+        self._check_quarantine("aggregate", allow_degraded=allow_degraded)
         self._expose_for_read()
-        states, plans = self._plan_healthy(
-            pushdown.filter_doc,
-            pushdown.sort_spec,
-            allow_degraded=allow_degraded,
-            op="aggregate",
-        )
-        for plan in plans:
-            plan.pushdown = list(pushdown.pushed)
-        if (
-            len(states) > 1
-            and rest
-            and pushdown.sort_spec is None
-            and pushdown.skip == 0
-            and pushdown.limit is None
-            and isinstance(rest[0], dict)
-            and len(rest[0]) == 1
-        ):
-            (stage_name, stage_spec), = rest[0].items()
-            if stage_name == "$group":
-                parsed = partial_group_spec(stage_spec)
-                if parsed is not None:
-                    groups = execute_partial_group(
-                        states, plans, parsed, copy_value=self._copy_value
-                    )
-                    return list(run_pipeline(groups, rest[1:]))
-            elif stage_name == "$count" and isinstance(stage_spec, str):
-                count = count_sharded(states, plans)
-                return list(run_pipeline([{stage_spec: count}], rest[1:]))
-        source: Iterable[dict] = execute_sharded_find(
-            states,
-            plans,
+        plan = self._plan(pushdown.filter_doc, pushdown.sort_spec)
+        source: Iterable[dict] = execute_find(
+            self._partition.live,
+            plan,
             skip=pushdown.skip,
             limit=pushdown.limit,
-            max_workers=self._read_workers(states),
             materialize=self._materialize,
         )
-        return list(run_pipeline(source, rest))
+        return list(run_pipeline(source, pushdown.rest))
 
     def all(self, *, allow_degraded: bool = False) -> Iterator[dict]:
         """Iterate every document (materialized views) in insertion order.
 
-        On a degraded collection this raises :class:`DegradedReadError`
-        up front (unless ``allow_degraded``, which warns): quarantined
-        partitions are empty, so the iteration itself is naturally
-        healthy-shards-only either way.
+        On a quarantined collection this raises :class:`DegradedReadError`
+        up front (unless ``allow_degraded``, which warns and yields
+        nothing: the quarantined state is empty).
         """
-        if self._quarantined:
-            self._healthy_route(None, allow_degraded=allow_degraded, op="all")
+        self._check_quarantine("all", allow_degraded=allow_degraded)
         materialize = self._materialize
         if self.copy_mode == "eager":
             return (materialize(doc) for doc in self._ordered_documents())
@@ -805,34 +561,25 @@ class Collection:
         """Create (or return) an index on dotted ``path``.
 
         ``kind`` is ``"hash"`` for equality lookups or ``"sorted"`` for range
-        scans.  Returns the index name ``{path}_{kind}``.  On a sharded
-        collection every partition gets its own index over its documents.
+        scans.  Returns the index name ``{path}_{kind}``.
         """
         name = f"{path}_{kind}"
-        if name in self._partitions[0].live._indexes:
+        if name in self._partition.live._indexes:
             return name
-        if self._quarantined:
-            # An index build touches every partition (and is journaled to
-            # partition 0's WAL), so a degraded collection refuses it.
-            raise DegradedWriteError(
-                self.name, sorted(self._quarantined), "create_index"
-            )
+        self._check_quarantine("create_index", write=True)
         self._bump_epoch()
-        for partition in self._partitions:
-            state = partition.writable()
-            if name in state._indexes:
-                continue
-            index = build_index(kind, path)
-            for internal_id, document in state._documents.items():
-                index.add(internal_id, document)
-            index.flush()
-            state._indexes[name] = index
-        self._log("index", {"path": path, "kind": kind}, 0)
+        state = self._partition.writable()
+        index = build_index(kind, path)
+        for internal_id, document in state._documents.items():
+            index.add(internal_id, document)
+        index.flush()
+        state._indexes[name] = index
+        self._log("index", {"path": path, "kind": kind})
         return name
 
     def index_names(self) -> List[str]:
         """Sorted names of the collection's indexes."""
-        return sorted(self._partitions[0].live._indexes)
+        return sorted(self._partition.live._indexes)
 
     def explain(
         self,
@@ -843,13 +590,11 @@ class Collection:
         """Describe how a query (or pipeline) would execute.
 
         Returns the chosen plan — ``"full_scan"`` / ``"id_lookup"`` /
-        ``"index_lookup"`` / ``"index_range"`` / ``"index_order"`` (or
-        ``"mixed"`` when a scatter picks different plans per shard) — plus
+        ``"index_lookup"`` / ``"index_range"`` / ``"index_order"`` — plus
         the index used, the residual predicate the candidates are matched
         against, the candidate count (how many documents would actually be
         examined), pushed-down pipeline stages when ``pipeline`` is given,
-        sharding telemetry (``shards_touched`` / ``total_shards`` /
-        ``routing``), and index-usage hints from
+        and index-usage hints from
         :func:`repro.analysis.analyze_index_usage`.
         """
         remaining: List[dict] = []
@@ -861,53 +606,16 @@ class Collection:
             remaining = pushdown.rest
         else:
             query_filter, query_sort = filter_doc, sort
-        states, plans = self._plan_routed(query_filter, query_sort)
-        for plan in plans:
-            plan.pushdown = list(pushed)
-        total = len(self)
-        shards = len(self._partitions)
-        if plans:
-            description = plans[0].describe(total)
-            description["candidates"] = sum(
-                len(plan.candidate_ids)
-                if plan.candidate_ids is not None
-                else len(state._documents)
-                for plan, state in zip(plans, states)
-            )
-            if len(plans) > 1:
-                names = {plan.plan_name for plan in plans}
-                if len(names) > 1:
-                    description["plan"] = "mixed"
-                description["indexes_used"] = sorted(
-                    {name for plan in plans for name in plan.indexes_used}
-                )
-        else:  # routing proved the result empty; no partition is read
-            description = {
-                "plan": "pruned",
-                "candidates": 0,
-                "documents": total,
-                "index": None,
-                "indexes_used": [],
-                "residual": query_filter,
-                "order": "none",
-                "order_index": None,
-                "pushdown": list(pushed),
-            }
-        description["shards_touched"] = len(states)
-        description["total_shards"] = shards
-        if len(states) == shards:
-            description["routing"] = "scatter" if shards > 1 else "single"
-        elif not states:
-            description["routing"] = "pruned"
-        else:
-            description["routing"] = "single" if len(states) == 1 else "subset"
+        plan = self._plan(query_filter, query_sort)
+        plan.pushdown = list(pushed)
+        description = plan.describe(len(self))
         description["remaining_stages"] = [
             next(iter(stage)) if isinstance(stage, dict) and stage else "?"
             for stage in remaining
         ]
         description["plan_cache"] = self._plan_cache.stats()
         description["materialization"] = self.copy_mode
-        description["quarantined_shards"] = sorted(self._quarantined)
+        description["quarantined"] = self._quarantined
         from repro.analysis import analyze_index_usage
 
         description["hints"] = [
@@ -917,8 +625,6 @@ class Collection:
                 sort=sort,
                 pipeline=pipeline,
                 indexes=self.index_specs(),
-                shard_key=self.shard_key if shards > 1 else None,
-                shards=shards,
             )
         ]
         return description
@@ -927,42 +633,36 @@ class Collection:
         """Serializable descriptions of the collection's indexes."""
         return [
             {"path": index.path, "kind": index.kind}
-            for index in self._partitions[0].live._indexes.values()
+            for index in self._partition.live._indexes.values()
         ]
 
     # ------------------------------------------------------------- internals
 
-    def _log(self, op: str, payload: dict, partition_index: int) -> None:
+    def _log(self, op: str, payload: dict) -> None:
         journal = self._journal
         if journal is not None:
-            journal(op, payload, partition_index)
+            journal(op, payload)
 
-    def _log_many(self, op: str, entries: List[Tuple[int, dict]]) -> None:
-        """Journal a batch of ``(partition, payload)`` records in order.
+    def _log_many(self, op: str, payloads: List[dict]) -> None:
+        """Journal a batch of payloads in order.
 
-        Prefers the batched hook (one WAL write + one fsync per partition
-        per batch); falls back to per-op journaling when only the plain
-        hook is attached.
+        Prefers the batched hook (one WAL write + one fsync per batch);
+        falls back to per-op journaling when only the plain hook is
+        attached.
         """
         journal_many = self._journal_many
         if journal_many is not None:
-            journal_many(op, entries)
+            journal_many(op, payloads)
             return
         journal = self._journal
         if journal is not None:
-            for partition_index, payload in entries:
-                journal(op, payload, partition_index)
+            for payload in payloads:
+                journal(op, payload)
 
     def _ordered_documents(self) -> Iterator[dict]:
-        if len(self._partitions) == 1:
-            documents = self._partitions[0].live._documents
-            for internal_id in sorted(documents):
-                yield documents[internal_id]
-            return
-        states = [partition.live for partition in self._partitions]
-        streams = [_sorted_id_state_pairs(state) for state in states]
-        for _internal_id, state in heapq.merge(*streams, key=lambda pair: pair[0]):
-            yield state._documents[_internal_id]
+        documents = self._partition.live._documents
+        for internal_id in sorted(documents):
+            yield documents[internal_id]
 
     def _check_filter(self, filter_doc: Optional[dict]) -> None:
         if self.analysis_mode == "strict" and filter_doc:
@@ -973,58 +673,21 @@ class Collection:
                 f"filter for collection {self.name!r}",
             )
 
-    def _scan(
-        self,
-        filter_doc: Optional[dict],
-        *,
-        allow_degraded: bool = False,
-        op: str = "read",
-        indices: Optional[List[int]] = None,
-    ) -> Iterator[dict]:
-        for index, internal_id in self._scan_partitions(
-            filter_doc, allow_degraded=allow_degraded, op=op, indices=indices
-        ):
-            yield self._partitions[index].live._documents[internal_id]
+    def _scan(self, filter_doc: Optional[dict]) -> Iterator[dict]:
+        documents = self._partition.live._documents
+        for internal_id in self._matching_ids(filter_doc):
+            yield documents[internal_id]
 
-    def _scan_partitions(
-        self,
-        filter_doc: Optional[dict],
-        *,
-        allow_degraded: bool = False,
-        op: str = "read",
-        write: bool = False,
-        indices: Optional[List[int]] = None,
-    ) -> Iterator[Tuple[int, int]]:
-        """``(partition index, internal id)`` of matches, ascending by id.
-
-        Pass ``indices`` to reuse an already-policy-checked route (avoids
-        a second :class:`DegradedReadWarning` from e.g. ``distinct``).
-        """
+    def _matching_ids(self, filter_doc: Optional[dict]) -> Iterator[int]:
+        """Internal ids of the live documents matching, ascending by id."""
         self._check_filter(filter_doc)
-        if indices is None:
-            indices = self._healthy_route(
-                filter_doc, allow_degraded=allow_degraded, op=op, write=write
-            )
-        if not indices and filter_doc:
-            compile_filter(filter_doc)
-        if len(indices) == 1:
-            state = self._partitions[indices[0]].live
-            plan = plan_read(state, filter_doc)
-            for internal_id in iter_matching_ids(state, plan):
-                yield indices[0], internal_id
-            return
-        states = [self._partitions[i].live for i in indices]
-        plans = plan_states(states, filter_doc)
-        by_state = {id(state): index for state, index in zip(states, indices)}
-        for state, internal_id in iter_sharded_matching(states, plans):
-            yield by_state[id(state)], internal_id
+        state = self._partition.live
+        return iter_matching_ids(state, plan_read(state, filter_doc))
 
-    def _apply_update(
-        self, partition_index: int, internal_id: int, document: dict, update: dict
-    ) -> None:
+    def _apply_update(self, internal_id: int, document: dict, update: dict) -> None:
         if not update or not all(key.startswith("$") for key in update):
             raise QueryError("updates must use operators like $set / $unset / $inc / $push")
-        state = self._partitions[partition_index].live
+        state = self._partition.live
         # Only indexes whose path the update spec can touch are maintained;
         # removing/re-adding every index on every update made single-field
         # updates cost O(indexes) instead of O(touched paths).
@@ -1105,76 +768,44 @@ class Collection:
                 index.flush()
 
     def __len__(self) -> int:
-        return sum(len(partition.live._documents) for partition in self._partitions)
+        return len(self._partition.live._documents)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Collection(name={self.name!r}, documents={len(self)}, "
-            f"shards={len(self._partitions)})"
-        )
+        return f"Collection(name={self.name!r}, documents={len(self)})"
 
 
 class CollectionSnapshot:
     """A consistent, lock-free read view over the last published epoch.
 
-    Pins every partition's ``published`` state at construction time.
+    Pins the collection's ``published`` state at construction time.
     Writers never mutate a published state (the first write after a commit
     copies it), so every read through the snapshot sees exactly the epoch
     that was committed when the snapshot was taken — while the live
-    collection keeps changing underneath.  Reads are bit-identical to the
-    same queries against an unsharded collection holding that epoch.
+    collection keeps changing underneath.
     """
 
     def __init__(self, collection: Collection) -> None:
         self.name = collection.name
-        self.shard_key = collection.shard_key
         #: Inherited at snapshot time; lazy views over a *published* state
         #: are stable forever (writers copy-on-write, never mutate it).
         self.copy_mode = collection.copy_mode
-        self._collection = collection
-        # One attribute read pins the whole epoch: `_published_states` is
-        # reassigned as a single tuple at commit time, so a concurrent
-        # publish can never hand this snapshot a cross-partition mix.
-        self._states = list(collection._published_states)
-        #: Quarantine set pinned at snapshot time.  Snapshots are strict:
-        #: there is no degraded opt-in — a scatter over a degraded epoch
-        #: raises, because a snapshot is exactly the API that promises a
-        #: complete, consistent epoch.
-        self._quarantined = frozenset(collection._quarantined)
+        # One attribute read pins the epoch: ``publish`` swaps the
+        # published state in a single reference assignment.
+        self._state = collection._partition.published
+        #: Snapshots are strict: there is no degraded opt-in, because a
+        #: snapshot is exactly the API that promises a complete epoch.
+        self._quarantined = collection._quarantined
 
     @property
     def _materialize(self) -> Any:
         return deep_copy if self.copy_mode == "eager" else lazy_document
 
-    @property
-    def _copy_value(self) -> Any:
-        return deep_copy if self.copy_mode == "eager" else wrap_value
-
-    def _routed(
-        self,
-        filter_doc: Optional[dict],
-        sort: Optional[List[tuple]] = None,
-    ) -> Tuple[List[Any], List[Any]]:
-        shards = len(self._states)
-        routed: Optional[List[int]] = None
-        # _shard_key_lists is sticky (never decremented), so a flag read at
-        # query time can only be *more* conservative than at snapshot time.
-        if shards > 1 and not self._collection._shard_key_lists:
-            routed = route_shards(self.shard_key, shards, filter_doc)
+    def _plan(
+        self, filter_doc: Optional[dict], sort: Optional[List[tuple]] = None
+    ) -> Plan:
         if self._quarantined:
-            touched = [
-                index
-                for index in (routed if routed is not None else range(shards))
-                if index in self._quarantined
-            ]
-            if touched:
-                raise DegradedReadError(self.name, touched, "snapshot read")
-        states = (
-            self._states if routed is None else [self._states[i] for i in routed]
-        )
-        if not states and filter_doc:
-            compile_filter(filter_doc)
-        return states, plan_states(states, filter_doc, sort)
+            raise DegradedReadError(self.name, "snapshot read")
+        return plan_read(self._state, filter_doc, sort)
 
     def find(
         self,
@@ -1185,10 +816,10 @@ class CollectionSnapshot:
         skip: int = 0,
     ) -> List[dict]:
         """Planned read over the snapshot (same semantics as live ``find``)."""
-        states, plans = self._routed(filter_doc, sort)
+        plan = self._plan(filter_doc, sort)
         results = list(
-            execute_sharded_find(
-                states, plans, skip=skip, limit=limit,
+            execute_find(
+                self._state, plan, skip=skip, limit=limit,
                 materialize=self._materialize,
             )
         )
@@ -1197,23 +828,22 @@ class CollectionSnapshot:
         return results
 
     def find_one(self, filter_doc: Optional[dict] = None) -> Optional[dict]:
-        states, plans = self._routed(filter_doc)
-        materialize = self._materialize
-        for state, internal_id in iter_sharded_matching(states, plans):
-            return materialize(state._documents[internal_id])
+        plan = self._plan(filter_doc)
+        for internal_id in iter_matching_ids(self._state, plan):
+            return self._materialize(self._state._documents[internal_id])
         return None
 
     def count_documents(self, filter_doc: Optional[dict] = None) -> int:
+        plan = self._plan(filter_doc)
         if not filter_doc:
             return len(self)
-        states, plans = self._routed(filter_doc)
-        return count_sharded(states, plans)
+        return count_matching(self._state, plan)
 
     def distinct(self, path: str, filter_doc: Optional[dict] = None) -> List[Any]:
         seen: Dict[str, Any] = {}
-        states, plans = self._routed(filter_doc)
-        for state, internal_id in iter_sharded_matching(states, plans):
-            value = get_path(state._documents[internal_id], path, default=None)
+        documents = self._state._documents
+        for internal_id in iter_matching_ids(self._state, self._plan(filter_doc)):
+            value = get_path(documents[internal_id], path, default=None)
             values = value if isinstance(value, list) else [value]
             for element in values:
                 if element is not None:
@@ -1223,62 +853,27 @@ class CollectionSnapshot:
     def aggregate(self, pipeline: List[dict]) -> List[dict]:
         """Aggregation over the snapshot, with the same pushdown rules."""
         pushdown = split_pushdown(pipeline)
-        rest = pushdown.rest
-        states, plans = self._routed(pushdown.filter_doc, pushdown.sort_spec)
-        for plan in plans:
-            plan.pushdown = list(pushdown.pushed)
-        if (
-            len(states) > 1
-            and rest
-            and pushdown.sort_spec is None
-            and pushdown.skip == 0
-            and pushdown.limit is None
-            and isinstance(rest[0], dict)
-            and len(rest[0]) == 1
-        ):
-            (stage_name, stage_spec), = rest[0].items()
-            if stage_name == "$group":
-                parsed = partial_group_spec(stage_spec)
-                if parsed is not None:
-                    groups = execute_partial_group(
-                        states, plans, parsed, copy_value=self._copy_value
-                    )
-                    return list(run_pipeline(groups, rest[1:]))
-            elif stage_name == "$count" and isinstance(stage_spec, str):
-                count = count_sharded(states, plans)
-                return list(run_pipeline([{stage_spec: count}], rest[1:]))
-        source: Iterable[dict] = execute_sharded_find(
-            states, plans, skip=pushdown.skip, limit=pushdown.limit,
+        plan = self._plan(pushdown.filter_doc, pushdown.sort_spec)
+        source: Iterable[dict] = execute_find(
+            self._state, plan, skip=pushdown.skip, limit=pushdown.limit,
             materialize=self._materialize,
         )
-        return list(run_pipeline(source, rest))
+        return list(run_pipeline(source, pushdown.rest))
 
     def all(self) -> Iterator[dict]:
         """Iterate the epoch's documents (materialized) in insertion order."""
         if self._quarantined:
-            raise DegradedReadError(
-                self.name, sorted(self._quarantined), "snapshot all"
-            )
+            raise DegradedReadError(self.name, "snapshot all")
         materialize = self._materialize
-        streams = [_sorted_id_state_pairs(state) for state in self._states]
-        for _internal_id, state in heapq.merge(*streams, key=lambda pair: pair[0]):
-            yield materialize(state._documents[_internal_id])
+        documents = self._state._documents
+        for internal_id in sorted(documents):
+            yield materialize(documents[internal_id])
 
     def __len__(self) -> int:
-        return sum(len(state._documents) for state in self._states)
+        return len(self._state._documents)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CollectionSnapshot(name={self.name!r}, documents={len(self)})"
-
-
-def _sorted_id_state_pairs(state: Any) -> Iterator[Tuple[int, Any]]:
-    """One partition's ``(internal id, state)`` pairs in ascending id order.
-
-    A generator *function* (not an inline genexp) so each stream captures
-    its own ``state`` — a comprehension-scoped closure would late-bind it.
-    """
-    for internal_id in sorted(state._documents):
-        yield internal_id, state
 
 
 def _update_touched_paths(update: dict) -> Optional[set]:

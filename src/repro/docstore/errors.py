@@ -58,46 +58,45 @@ class StorageCorruptError(StorageError):
 
 
 class QuarantineError(DocStoreError):
-    """An operation touched a quarantined (fault-isolated) shard.
+    """An operation touched a quarantined (fault-isolated) collection.
 
-    When recovery finds a corrupt partition WAL or snapshot it moves the
-    damaged file into a ``<file>.quarantined/`` directory and flags the
-    partition in the manifest instead of failing the whole database open
-    (see ``docs/durability.md``).  The collection then serves *degraded*:
-    operations confined to healthy shards proceed normally, operations
-    that would touch a quarantined shard raise a subclass of this error.
-    ``Database.repair()`` re-runs salvage and lifts the quarantine.
+    When recovery finds a corrupt WAL or snapshot it moves the damaged file
+    into a ``<file>.quarantined/`` directory and flags the collection in the
+    manifest instead of failing the whole database open (see
+    ``docs/durability.md``).  The collection then serves *degraded*: it
+    holds no documents, reads raise :class:`DegradedReadError` and writes
+    raise :class:`DegradedWriteError`, while every other collection keeps
+    working.  ``Database.repair()`` re-runs salvage and lifts the quarantine.
     """
 
-    def __init__(self, collection: str, shards, operation: str) -> None:
+    def __init__(self, collection: str, operation: str) -> None:
         self.collection = collection
-        self.shards = sorted(shards)
         self.operation = operation
         super().__init__(
-            f"{operation} on collection {collection!r} touches quarantined "
-            f"shard(s) {self.shards}; repair() the database to lift quarantine"
+            f"{operation} on quarantined collection {collection!r}; "
+            f"repair() the database to lift quarantine"
         )
 
 
 class DegradedReadError(QuarantineError):
-    """A read's shard routing includes a quarantined partition.
+    """A read touched a quarantined collection.
 
-    Scatter reads can opt into partial results with
-    ``allow_degraded=True``, which returns documents from the healthy
-    shards and emits a :class:`DegradedReadWarning` instead.
+    Reads can opt into degraded (empty) results with
+    ``allow_degraded=True``, which emits a :class:`DegradedReadWarning`
+    instead.
     """
 
 
 class DegradedWriteError(QuarantineError):
-    """A write would land on (or migrate into) a quarantined partition.
+    """A write targeted a quarantined collection.
 
     Writes have no degraded opt-in: accepting a write the quarantined
-    shard cannot journal would silently diverge from the log.
+    collection cannot journal would silently diverge from the log.
     """
 
 
 class DegradedReadWarning(UserWarning):
-    """A degraded read returned results from healthy shards only."""
+    """A degraded read skipped a quarantined collection's documents."""
 
 
 class UnknownIndexKind(DocStoreError, ValueError):

@@ -28,19 +28,25 @@ parseable lines of a damaged snapshot instead of raising.
 
 Fault-domain isolation: with ``quarantine=True`` (the
 :class:`~repro.docstore.database.DurableDatabase` open path), damage
-confined to one partition's WAL or one collection's snapshot no longer
-fails the whole open.  The damaged file is moved into a sibling
-``<file>.quarantined/`` directory, the shard is flagged in the manifest,
-and the collection serves *degraded* — see ``docs/durability.md``.
+confined to one collection's WAL or snapshot no longer fails the whole
+open.  The damaged file is moved into a sibling ``<file>.quarantined/``
+directory, the collection is flagged in the manifest, and it serves
+*degraded* — see ``docs/durability.md``.
+
+Stores written by the retired hash-partitioned layout (a manifest entry
+with ``"shards" > 1``, or ``<name>@p<i>.wal`` partition logs) are refused
+with :class:`~repro.docstore.errors.StorageError`: loading a subset of
+their partitions would silently lose documents.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro import faults
 from repro.docstore.errors import (
@@ -48,12 +54,7 @@ from repro.docstore.errors import (
     StorageCorruptError,
     StorageError,
 )
-from repro.docstore.wal import (
-    atomic_write_text,
-    read_committed_epoch,
-    read_wal,
-    split_wal_stem,
-)
+from repro.docstore.wal import atomic_write_text, read_committed_epoch, read_wal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.docstore.collection import Collection
@@ -63,6 +64,14 @@ MANIFEST_NAME = "manifest.json"
 
 #: Suffix of the sibling directory a corrupt file is moved into.
 QUARANTINE_SUFFIX = ".quarantined"
+
+#: Manifest ``"quarantined"`` flag of a quarantined collection.  The list
+#: shape (partition indices of the collection's only partition) is the
+#: on-disk format older stores already carry; any non-empty value counts.
+_QUARANTINE_FLAG = (0,)
+
+#: File names of the retired hash-partitioned layout's per-partition logs.
+_PARTITION_WAL = re.compile(r".+@p\d+\.wal")
 
 
 @dataclass
@@ -77,8 +86,8 @@ class RecoveryReport:
     salvaged: Dict[str, int] = field(default_factory=dict)
     #: Orphaned ``*.tmp`` files (crash mid-atomic-write) swept on open.
     orphans_removed: int = 0
-    #: Shards *newly* quarantined by this load, per collection.
-    quarantined: Dict[str, List[int]] = field(default_factory=dict)
+    #: Collections *newly* quarantined by this load, sorted.
+    quarantined: List[str] = field(default_factory=list)
     #: Human-readable notes: torn tails truncated, operations discarded...
     notes: List[str] = field(default_factory=list)
 
@@ -94,10 +103,8 @@ class RecoveryReport:
             lines.append(f"replayed {self.replayed[name]} op(s) into {name!r}")
         for path in sorted(self.salvaged):
             lines.append(f"salvaged {path}: dropped {self.salvaged[path]} bad line(s)")
-        for name in sorted(self.quarantined):
-            lines.append(
-                f"quarantined shard(s) {self.quarantined[name]} of {name!r}"
-            )
+        for name in self.quarantined:
+            lines.append(f"quarantined collection {name!r}")
         lines.extend(self.notes)
         return "\n".join(lines)
 
@@ -136,6 +143,41 @@ def quarantine_dirs(directory: Path) -> List[Path]:
     )
 
 
+def legacy_partition_problems(
+    directory: Path, entries: Dict[str, dict], wal_paths: List[Path]
+) -> List[Tuple[Path, Optional[str], str]]:
+    """Traces of the retired hash-partitioned layout, as findings.
+
+    Returns ``(path, collection, message)`` for every manifest entry with
+    ``"shards" > 1`` and every ``<name>@p<i>.wal`` partition log.  Such a
+    store cannot be read here: replaying a subset of its partitions would
+    silently drop documents, so loads refuse it and scrubs report it.
+    """
+    problems: List[Tuple[Path, Optional[str], str]] = []
+    for name in sorted(entries):
+        shards = (entries[name] or {}).get("shards", 1)
+        if isinstance(shards, int) and shards > 1:
+            problems.append(
+                (
+                    directory / MANIFEST_NAME,
+                    name,
+                    f"collection {name!r} is hash-partitioned into {shards} "
+                    f"shards; only single-partition collections can be read",
+                )
+            )
+    for path in wal_paths:
+        if _PARTITION_WAL.fullmatch(path.name):
+            problems.append(
+                (
+                    path,
+                    None,
+                    f"partition log {path.name} belongs to a hash-partitioned "
+                    f"collection; only single-partition collections can be read",
+                )
+            )
+    return problems
+
+
 # -------------------------------------------------------------------- save
 
 
@@ -155,9 +197,9 @@ def save_database(
     ``skip`` names collections whose snapshot must *not* be rewritten
     (quarantined collections at checkpoint time: their manifest entry is
     carried over verbatim so the old snapshot still verifies and its epoch
-    still gates replay).  Saving a degraded collection *without* skipping
-    it raises :class:`DegradedWriteError` — a snapshot that silently
-    dropped a quarantined shard's documents would look healthy.
+    still gates the lost-records check).  Saving a quarantined collection
+    *without* skipping it raises :class:`DegradedWriteError` — a snapshot
+    of its empty quarantined state would look healthy.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -170,19 +212,15 @@ def save_database(
     manifest["collections"] = collections
     for name in database.collection_names():
         collection = database[name]
-        quarantined = sorted(getattr(collection, "_quarantined", ()))
         if name in skip:
             entry = dict(previous.get(name, {}))
             entry.setdefault("indexes", collection.index_specs())
-            if getattr(collection, "nshards", 1) > 1:
-                entry["shards"] = collection.nshards
-                entry["shard_key"] = collection.shard_key
-            if quarantined:
-                entry["quarantined"] = quarantined
+            if collection.quarantined:
+                entry["quarantined"] = _QUARANTINE_FLAG
             collections[name] = entry
             continue
-        if quarantined:
-            raise DegradedWriteError(name, quarantined, "snapshot")
+        if collection.quarantined:
+            raise DegradedWriteError(name, "snapshot")
         lines = [
             json.dumps(document, ensure_ascii=False, sort_keys=True)
             for document in collection.all()
@@ -194,9 +232,6 @@ def save_database(
             "indexes": collection.index_specs(),
             "checksum": {"crc32": zlib.crc32(encoded), "bytes": len(encoded)},
         }
-        if getattr(collection, "nshards", 1) > 1:
-            entry["shards"] = collection.nshards
-            entry["shard_key"] = collection.shard_key
         if epoch is not None:
             entry["epoch"] = epoch
         collections[name] = entry
@@ -324,19 +359,21 @@ def load_database(
     ``recover``): a plain read-only load must not cut off operations a
     live writer has staged but not yet committed.
 
-    ``quarantine=True`` isolates instead of failing: a corrupt partition
-    WAL (or whole-collection snapshot) is moved into a
-    ``<file>.quarantined/`` directory, the shard is flagged in the
-    manifest, and the collection loads in degraded mode.  Quarantine flags
-    already present in the manifest are honored by *every* load — a
-    degraded store never silently serves a quarantined shard's stale
-    snapshot documents.
+    ``quarantine=True`` isolates instead of failing: a corrupt WAL or
+    snapshot is moved into a ``<file>.quarantined/`` directory, the
+    collection is flagged in the manifest, and it loads quarantined (empty,
+    refusing reads and writes).  Quarantine flags already present in the
+    manifest are honored by *every* load — a degraded store never silently
+    serves a quarantined collection's stale snapshot documents.
 
     ``salvage=True`` is the ``repair()`` path: quarantine flags are
     ignored (the damaged files are expected to have been restored from
     their quarantine directories first), snapshots load with per-line
     repair, and WALs replay their parseable committed prefix best-effort
     instead of raising.
+
+    A store of the retired hash-partitioned layout raises
+    :class:`StorageError` naming the offending collection or file.
     """
     from repro.docstore.database import Database
 
@@ -367,6 +404,10 @@ def load_database(
             )
     elif not wal_paths:
         raise StorageError(f"no manifest at {manifest_path}")
+    legacy = legacy_partition_problems(directory, manifest["collections"], wal_paths)
+    if legacy:
+        path, _name, message = legacy[0]
+        raise StorageError(f"{path}: {message}")
 
     committed = read_committed_epoch(directory)
     report.committed_epoch = committed
@@ -375,31 +416,21 @@ def load_database(
     # between its snapshot renames and its manifest rename; within that
     # window a snapshot may legitimately be newer than its recorded
     # checksum (it still has to parse cleanly, and the lost-records check
-    # below still demands the WALs cover the committed epoch).
+    # below still demands the WAL covers the committed epoch).
     stale_checksum_ok = committed > global_epoch
 
     database = Database(name)
-    #: Highest committed WAL ``seq`` seen per collection name (including
-    #: collections that end up dropped); ``DurableDatabase`` seeds its
-    #: sequence counters from this so appends keep a total order.
-    database._wal_max_seq = {}  # type: ignore[attr-defined]
-    #: Shards flagged quarantined: manifest flags plus new findings.
-    flagged: Dict[str, Set[int]] = {}
-    #: Collections whose *snapshot* was quarantined this load (all shards
-    #: dark): their WALs are left in place, untouched, for ``repair()``.
+    #: Collections flagged quarantined: manifest flags plus new findings.
+    flagged: Set[str] = set()
+    #: Collections whose *snapshot* was quarantined this load: their WALs
+    #: are left in place, untouched, for ``repair()``.
     snapshot_quarantined: Set[str] = set()
     for collection_name, spec in manifest["collections"].items():
-        collection = database.create_collection(
-            collection_name,
-            shards=int(spec.get("shards", 1) or 1),
-            shard_key=str(spec.get("shard_key", "ncid")),
-        )
-        previous_flags = [int(i) for i in spec.get("quarantined", [])]
-        if previous_flags and not salvage:
-            flagged.setdefault(collection_name, set()).update(previous_flags)
+        collection = database.create_collection(collection_name)
+        if spec.get("quarantined") and not salvage:
+            flagged.add(collection_name)
             report.notes.append(
-                f"collection {collection_name!r} shard(s) {sorted(previous_flags)} "
-                f"in quarantine (repair to lift)"
+                f"collection {collection_name!r} in quarantine (repair to lift)"
             )
         jsonl_path = directory / f"{collection_name}.jsonl"
         if jsonl_path.exists():
@@ -417,11 +448,7 @@ def load_database(
                     # Drop the partially-loaded documents and retake the
                     # file line by line, ignoring the stale checksum.
                     database.drop_collection(collection_name)
-                    collection = database.create_collection(
-                        collection_name,
-                        shards=int(spec.get("shards", 1) or 1),
-                        shard_key=str(spec.get("shard_key", "ncid")),
-                    )
+                    collection = database.create_collection(collection_name)
                     try:
                         _load_jsonl(collection, jsonl_path, True, report)
                     except OSError as retry_exc:
@@ -429,20 +456,12 @@ def load_database(
                             f"{jsonl_path}: unreadable, skipped ({retry_exc})"
                         )
                 elif quarantine:
-                    # The snapshot covers every shard, so a bad snapshot
-                    # darkens the whole collection.  Its WALs stay on disk
-                    # for repair; replay is skipped below.
+                    # Its WAL stays on disk for repair; replay is skipped
+                    # below.
                     quarantine_file(jsonl_path, str(exc))
                     database.drop_collection(collection_name)
-                    collection = database.create_collection(
-                        collection_name,
-                        shards=int(spec.get("shards", 1) or 1),
-                        shard_key=str(spec.get("shard_key", "ncid")),
-                    )
-                    all_shards = set(range(collection.nshards))
-                    flagged.setdefault(collection_name, set()).update(all_shards)
-                    new = report.quarantined.setdefault(collection_name, [])
-                    new.extend(sorted(all_shards - set(new)))
+                    collection = database.create_collection(collection_name)
+                    _flag_new_quarantine(collection_name, flagged, report)
                     snapshot_quarantined.add(collection_name)
                     report.notes.append(
                         f"{jsonl_path}: snapshot quarantined ({exc})"
@@ -452,176 +471,107 @@ def load_database(
         for index_spec in spec.get("indexes", []):
             collection.create_index(index_spec["path"], index_spec["kind"])
 
-    # Partition logs (``<name>@p<i>.wal``) replay as one per-collection
-    # stream, merged on the ``seq`` number each sharded record carries.
-    groups: Dict[str, List[Path]] = {}
     for wal_path in wal_paths:
-        collection_name, _partition = split_wal_stem(wal_path.stem)
-        groups.setdefault(collection_name, []).append(wal_path)
-    for collection_name in sorted(groups):
-        group_paths = groups[collection_name]
-        entry = manifest["collections"].get(collection_name) or {}
-        # Quarantined collections are skipped at checkpoint time, so their
-        # snapshot epoch lags the global one; the per-collection epoch
-        # written next to the checksum keeps the replay filter correct.
-        collection_epoch = int(entry.get("epoch", global_epoch) or 0)
+        collection_name = wal_path.stem
         if collection_name in snapshot_quarantined:
             report.notes.append(
                 f"skipped WAL replay for quarantined collection "
                 f"{collection_name!r}"
             )
             continue
-        sharded = len(group_paths) > 1 or any(
-            split_wal_stem(path.stem)[0] != path.stem for path in group_paths
-        )
-        quarantined_here = flagged.get(collection_name, set())
-        operations: List[Dict[str, object]] = []
-        recoveries = []
-        seq_floor = 0
-        for wal_path in group_paths:
-            _, partition_index = split_wal_stem(wal_path.stem)
-            try:
-                recovery = read_wal(
-                    wal_path, committed, truncate_torn=truncate,
-                    best_effort=salvage,
-                )
-            except OSError as exc:
-                if salvage:
-                    report.notes.append(
-                        f"{wal_path}: unreadable, skipped ({exc})"
-                    )
-                    continue
-                if quarantine:
-                    seq_floor = max(
-                        seq_floor,
-                        _quarantine_wal(
-                            wal_path, partition_index, collection_name,
-                            str(exc), committed, flagged, report,
-                        ),
-                    )
-                    continue
-                raise
-            lost = (
-                collection_name in manifest["collections"]
-                and committed > collection_epoch
-                and recovery.last_epoch < committed
+        entry = manifest["collections"].get(collection_name) or {}
+        # Quarantined collections are skipped at checkpoint time, so their
+        # snapshot epoch lags the global one; the per-collection epoch
+        # written next to the checksum keeps the lost-records check right.
+        collection_epoch = int(entry.get("epoch", global_epoch) or 0)
+        try:
+            recovery = read_wal(
+                wal_path, committed, truncate_torn=truncate, best_effort=salvage
             )
-            if lost and partition_index not in quarantined_here:
-                # The snapshot predates the committed epoch and the WAL
-                # does not carry us up to it: committed operations gone.
-                message = (
-                    f"committed records lost: log ends at epoch "
-                    f"{recovery.last_epoch}, database committed epoch {committed}"
-                )
-                if salvage:
-                    report.notes.append(f"{wal_path}: {message}")
-                elif quarantine:
-                    seq_floor = max(
-                        seq_floor,
-                        _quarantine_wal(
-                            wal_path, partition_index, collection_name,
-                            message, committed, flagged, report,
-                        ),
-                    )
-                    continue
-                else:
-                    raise StorageCorruptError(wal_path, message)
-            recoveries.append((wal_path, recovery))
-            operations.extend(recovery.operations)
-        # The seq high-water mark covers *every* committed record on disk
-        # (even ones the epoch filter below skips): a reopened writer must
-        # never reuse a seq that stale, not-yet-truncated files still hold.
-        max_seq = max(
-            (_operation_seq(op) for op in operations), default=0
+        except OSError as exc:
+            if salvage:
+                report.notes.append(f"{wal_path}: unreadable, skipped ({exc})")
+                continue
+            if quarantine:
+                _quarantine_wal(wal_path, collection_name, str(exc), flagged, report)
+                continue
+            raise
+        lost = (
+            collection_name in manifest["collections"]
+            and committed > collection_epoch
+            and recovery.last_epoch < committed
         )
-        max_seq = max(max_seq, seq_floor)
-        if sharded:
-            # A checkpoint truncates the partition logs one file at a time;
-            # a crash mid-way can lose a cross-file *prefix* of the history.
-            # Operations from epochs at or before the snapshot epoch are
-            # already captured by the snapshot — replaying a partial prefix
-            # of them would regress newer state, so skip them outright.
-            operations = [
-                operation
-                for operation in operations
-                if _operation_epoch(operation) > collection_epoch
-            ]
-            operations.sort(key=_operation_seq)
+        if lost and collection_name not in flagged:
+            # The snapshot predates the committed epoch and the WAL does not
+            # carry us up to it: committed operations are gone.
+            message = (
+                f"committed records lost: log ends at epoch "
+                f"{recovery.last_epoch}, database committed epoch {committed}"
+            )
+            if salvage:
+                report.notes.append(f"{wal_path}: {message}")
+            elif quarantine:
+                _quarantine_wal(wal_path, collection_name, message, flagged, report)
+                continue
+            else:
+                raise StorageCorruptError(wal_path, message)
         # A WAL with no committed content must not materialize a collection
         # the committed state never had (e.g. staged ops from a crash).
         collection = database._collections.get(collection_name)
-        for operation in operations:
+        for operation in recovery.operations:
             if operation.get("op") == "drop":
                 database.drop_collection(collection_name)
                 collection = None
                 continue
             if collection is None:
-                collection = _materialize_collection(
-                    database, collection_name, operation
-                )
+                collection = database.create_collection(collection_name)
             _replay_operation(collection, operation)
-        if max_seq:
-            database._wal_max_seq[collection_name] = max_seq  # type: ignore[attr-defined]
-            if collection is not None:
-                collection._replayed_seq = max_seq
-        if operations:
-            report.replayed[collection_name] = len(operations)
-        for wal_path, recovery in recoveries:
-            if recovery.truncated_at is not None:
-                report.notes.append(
-                    f"{wal_path}: truncated torn/uncommitted tail at byte "
-                    f"{recovery.truncated_at}"
-                )
-            report.notes.extend(f"{wal_path}: {note}" for note in recovery.notes)
+        if recovery.operations:
+            report.replayed[collection_name] = len(recovery.operations)
+        if recovery.truncated_at is not None:
+            report.notes.append(
+                f"{wal_path}: truncated torn/uncommitted tail at byte "
+                f"{recovery.truncated_at}"
+            )
+        report.notes.extend(f"{wal_path}: {note}" for note in recovery.notes)
 
     if not salvage:
-        for collection_name, indices in flagged.items():
+        for collection_name in sorted(flagged):
             collection = database._collections.get(collection_name)
-            if collection is not None and indices:
-                collection._quarantine_shards(sorted(indices))
+            if collection is not None:
+                collection._quarantine()
     if quarantine and report.quarantined:
         _persist_quarantine_flags(manifest, manifest_path, database, flagged)
     return database
 
 
+def _flag_new_quarantine(
+    collection_name: str, flagged: Set[str], report: RecoveryReport
+) -> None:
+    flagged.add(collection_name)
+    if collection_name not in report.quarantined:
+        report.quarantined.append(collection_name)
+        report.quarantined.sort()
+
+
 def _quarantine_wal(
     wal_path: Path,
-    partition_index: int,
     collection_name: str,
     reason: str,
-    committed: int,
-    flagged: Dict[str, Set[int]],
+    flagged: Set[str],
     report: RecoveryReport,
-) -> int:
-    """Quarantine one partition WAL; returns its best-effort max ``seq``.
-
-    The salvageable committed prefix of the moved file is scanned for its
-    highest ``seq`` so a reopened writer keeps numbering past it — damage
-    may hide higher seqs, but colliding seqs can only belong to different
-    shards' documents, whose relative replay order is immaterial.
-    """
-    qdir = quarantine_file(wal_path, reason)
-    flagged.setdefault(collection_name, set()).add(partition_index)
-    new = report.quarantined.setdefault(collection_name, [])
-    if partition_index not in new:
-        new.append(partition_index)
-        new.sort()
+) -> None:
+    """Move a damaged WAL aside and flag its collection quarantined."""
+    quarantine_file(wal_path, reason)
+    _flag_new_quarantine(collection_name, flagged, report)
     report.notes.append(f"{wal_path}: quarantined ({reason})")
-    try:
-        ghost = read_wal(
-            qdir / wal_path.name, committed, truncate_torn=False,
-            best_effort=True,
-        )
-    except OSError:
-        return 0
-    return max((_operation_seq(op) for op in ghost.operations), default=0)
 
 
 def _persist_quarantine_flags(
     manifest: Dict[str, dict],
     manifest_path: Path,
     database: "Database",
-    flagged: Dict[str, Set[int]],
+    flagged: Set[str],
 ) -> None:
     """Record quarantine flags in the manifest (atomically rewritten).
 
@@ -629,39 +579,14 @@ def _persist_quarantine_flags(
     survives; everything else in the manifest is carried over verbatim.
     """
     collections = manifest.setdefault("collections", {})
-    for collection_name, indices in flagged.items():
+    for collection_name in sorted(flagged):
         entry = collections.setdefault(collection_name, {})
         if "indexes" not in entry:
             collection = database._collections.get(collection_name)
             if collection is not None:
                 entry["indexes"] = collection.index_specs()
-                if collection.nshards > 1:
-                    entry["shards"] = collection.nshards
-                    entry["shard_key"] = collection.shard_key
-        entry["quarantined"] = sorted(indices)
+        entry["quarantined"] = _QUARANTINE_FLAG
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2))
-
-
-def _operation_seq(operation: Dict[str, object]) -> int:
-    seq = operation.get("seq")
-    return seq if isinstance(seq, int) else 0
-
-
-def _operation_epoch(operation: Dict[str, object]) -> int:
-    epoch = operation.get("commit_epoch")
-    return epoch if isinstance(epoch, int) else 0
-
-
-def _materialize_collection(
-    database: "Database", name: str, operation: Dict[str, object]
-) -> "Collection":
-    """Create a collection mid-replay, honoring a ``create`` op's layout."""
-    shards = 1
-    shard_key = "ncid"
-    if operation.get("op") == "create":
-        shards = int(operation.get("shards", 1) or 1)  # type: ignore[arg-type]
-        shard_key = str(operation.get("shard_key", "ncid"))
-    return database.create_collection(name, shards=shards, shard_key=shard_key)
 
 
 def _replay_operation(collection: "Collection", operation: Dict[str, object]) -> None:

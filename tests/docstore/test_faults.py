@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.core import RemovalLevel, TestDataGenerator
-from repro.docstore import Database, DurableDatabase, shard_key_shard
+from repro.docstore import Database, DurableDatabase
 from repro.docstore.errors import DegradedReadWarning, StorageError
 from repro.docstore.wal import WalWriter, read_wal
 from repro.votersim.schema import empty_record
@@ -201,18 +201,23 @@ class TestFaultShim:
 
 # ------------------------------------------------ full fault-model sweeps
 
-#: Shard-key values covering every shard of a 3-way layout twice
-#: (``shard_key_shard`` placement: AA1/AA3 → 0, AA2/AA5 → 1, AA7/AA9 → 2).
-_SHARDED_IDS = ("AA1", "AA2", "AA7", "AA3", "AA5", "AA9")
+#: Documents of the fault workload's main collection.
+_FAULT_IDS = ("AA1", "AA2", "AA7", "AA3", "AA5", "AA9")
 
 
-def sharded_workload(directory, mark=None):
-    """Insert/index/update/checkpoint/delete over a 3-shard collection."""
-    database = DurableDatabase(Path(directory), shards=3)
+def fault_workload(directory, mark=None):
+    """Insert/index/update/checkpoint/delete/create/drop over collections.
+
+    Damage to one collection's files quarantines that collection only; the
+    others must keep reading bit-identically.
+    """
+    database = DurableDatabase(Path(directory))
     docs = database.get_collection("docs")
-    for index, ncid in enumerate(_SHARDED_IDS):
+    for index, ncid in enumerate(_FAULT_IDS):
         docs.insert_one({"_id": ncid, "ncid": ncid, "n": index})
     docs.create_index("ncid")
+    versions = database.get_collection("versions")
+    versions.insert_one({"_id": 1, "note": "import"})
     database.commit()
     if mark:
         mark(database)
@@ -222,6 +227,12 @@ def sharded_workload(directory, mark=None):
         mark(database)
     docs.delete_many({"_id": "AA2"})
     docs.insert_one({"_id": "BA1", "ncid": "BA1", "n": 7})
+    versions.insert_one({"_id": 2, "note": "update"})
+    database.create_collection("scratch").insert_one({"_id": 1})
+    database.commit()
+    if mark:
+        mark(database)
+    database.drop_collection("scratch")
     database.commit()
     if mark:
         mark(database)
@@ -229,7 +240,7 @@ def sharded_workload(directory, mark=None):
 
 
 def doc_state(database):
-    """Docs-only state (degraded-tolerant): healthy shards' documents."""
+    """Docs-only state (degraded-tolerant): quarantined collections read empty."""
     state = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedReadWarning)
@@ -248,47 +259,43 @@ def committed_doc_states(workload, directory):
     return states
 
 
-def healthy_projection(state, quarantined, shards):
-    """Project a committed state onto the shards ``quarantined`` spares."""
-    projected = {}
-    for name, blobs in state.items():
-        dark = quarantined.get(name, set())
-        kept = []
-        for blob in blobs:
-            doc = json.loads(blob)
-            if shard_key_shard(str(doc.get("ncid")), shards) not in dark:
-                kept.append(blob)
-        projected[name] = kept
+def healthy_projection(state, quarantined):
+    """Project a committed state onto the collections ``quarantined`` spares."""
+    projected = {
+        name: [] if name in quarantined else blobs for name, blobs in state.items()
+    }
+    for name in quarantined:
+        projected.setdefault(name, [])
     return projected
 
 
-def check_recovered_or_quarantined(target, states, shards):
+def check_recovered_or_quarantined(target, states):
     """The tentpole invariant: recovered-or-quarantined, never silently wrong.
 
     Returns ``None`` when the reopened store's (degraded) state is the
-    healthy-shard projection of some committed state, else a description
-    of the violation.
+    healthy-collection projection of some committed state, else a
+    description of the violation.
     """
     try:
-        reopened = DurableDatabase(target, shards=shards)
+        reopened = DurableDatabase(target)
     except Exception as exc:  # noqa: BLE001 - any failure to open is the bug
         return f"reopen failed: {exc!r}"
     try:
         quarantined = {
-            name: set(reopened[name].quarantined_shards)
+            name
             for name in reopened.collection_names()
-            if reopened[name].quarantined_shards
+            if reopened[name].quarantined
         }
         actual = doc_state(reopened)
         for state in states:
-            if actual == healthy_projection(state, quarantined, shards):
+            if actual == healthy_projection(state, quarantined):
                 return None
         return f"state not a committed projection (quarantined={quarantined})"
     finally:
         reopened.close(commit=False)
 
 
-def fault_sweep(workload, tmp_path, mode, shards=3):
+def fault_sweep(workload, tmp_path, mode):
     """Inject ``mode`` at every op; assert the store is never silently wrong."""
     states = committed_doc_states(workload, tmp_path / "reference")
     total = faults.count_ops(lambda: workload(tmp_path / "count"))
@@ -301,44 +308,44 @@ def fault_sweep(workload, tmp_path, mode, shards=3):
                 workload(target)
             except (faults.CrashError, OSError):
                 pass  # the fault surfaced; the store must still open below
-        violation = check_recovered_or_quarantined(target, states, shards)
+        violation = check_recovered_or_quarantined(target, states)
         if violation is not None:
             failures.append((plan.fail_at, plan.failed_op, violation))
     assert not failures, f"{len(failures)}/{total} fault points leaked: {failures}"
 
 
 class TestFaultModeSweep:
-    """The full I/O fault model over a sharded generate→commit→checkpoint run."""
+    """The full I/O fault model over a generate→commit→checkpoint run."""
 
-    def test_sharded_workload_crash_mode(self, tmp_path):
-        sweep(sharded_workload, tmp_path, "crash")
+    def test_fault_workload_crash_mode(self, tmp_path):
+        sweep(fault_workload, tmp_path, "crash")
 
-    def test_sharded_workload_torn_mode(self, tmp_path):
-        fault_sweep(sharded_workload, tmp_path, "torn")
+    def test_fault_workload_torn_mode(self, tmp_path):
+        fault_sweep(fault_workload, tmp_path, "torn")
 
-    def test_sharded_workload_eio_mode(self, tmp_path):
-        fault_sweep(sharded_workload, tmp_path, "eio")
+    def test_fault_workload_eio_mode(self, tmp_path):
+        fault_sweep(fault_workload, tmp_path, "eio")
 
-    def test_sharded_workload_enospc_mode(self, tmp_path):
-        fault_sweep(sharded_workload, tmp_path, "enospc")
+    def test_fault_workload_enospc_mode(self, tmp_path):
+        fault_sweep(fault_workload, tmp_path, "enospc")
 
-    def test_sharded_workload_partial_fsync_mode(self, tmp_path):
-        fault_sweep(sharded_workload, tmp_path, "partial_fsync")
+    def test_fault_workload_partial_fsync_mode(self, tmp_path):
+        fault_sweep(fault_workload, tmp_path, "partial_fsync")
 
     def test_docstore_workload_enospc_mode(self, tmp_path):
-        fault_sweep(docstore_workload, tmp_path, "enospc", shards=1)
+        fault_sweep(docstore_workload, tmp_path, "enospc")
 
     def test_docstore_workload_partial_fsync_mode(self, tmp_path):
-        fault_sweep(docstore_workload, tmp_path, "partial_fsync", shards=1)
+        fault_sweep(docstore_workload, tmp_path, "partial_fsync")
 
     def test_slow_mode_changes_nothing(self, tmp_path):
         """Latency alone must never change an outcome."""
-        expected = committed_doc_states(sharded_workload, tmp_path / "ref")[-1]
+        expected = committed_doc_states(fault_workload, tmp_path / "ref")[-1]
         plan = faults.FaultyFileSystem(fail_at=5, mode="slow", delay=0.001)
         with faults.inject(plan):
-            sharded_workload(tmp_path / "slow")
+            fault_workload(tmp_path / "slow")
         assert plan.failed_op is not None  # the delay did fire
-        reopened = DurableDatabase(tmp_path / "slow", shards=3)
+        reopened = DurableDatabase(tmp_path / "slow")
         assert doc_state(reopened) == expected
         assert reopened.last_recovery.clean
         reopened.close(commit=False)
@@ -482,22 +489,6 @@ def apply_operations(collection, operations):
             collection.delete_many({"_id": doc_id})
 
 
-def apply_sharded_operations(collection, operations):
-    """Like :func:`apply_operations` but stamps the shard key on every doc,
-    so a fault oracle can project committed states onto healthy shards."""
-    for kind, doc_id, value in operations:
-        document = {"_id": doc_id, "ncid": doc_id, "value": value}
-        if kind == "insert":
-            if collection.count_documents({"_id": doc_id}):
-                collection.replace_one({"_id": doc_id}, document)
-            else:
-                collection.insert_one(document)
-        elif kind == "update":
-            collection.update_one({"_id": doc_id}, {"$set": {"value": value}})
-        elif kind == "delete":
-            collection.delete_many({"_id": doc_id})
-
-
 class TestRoundTripProperties:
     @given(operations=st.lists(_OPERATIONS, max_size=30))
     @settings(
@@ -555,13 +546,13 @@ class TestRoundTripProperties:
         directory = tmp_path_factory.mktemp("fault")
 
         def workload(target, mark=None):
-            database = DurableDatabase(Path(target), shards=2)
+            database = DurableDatabase(Path(target))
             docs = database["docs"]
-            apply_sharded_operations(docs, committed)
+            apply_operations(docs, committed)
             database.commit()
             if mark:
                 mark(database)
-            apply_sharded_operations(docs, staged)
+            apply_operations(docs, staged)
             database.commit()
             if mark:
                 mark(database)
@@ -575,5 +566,5 @@ class TestRoundTripProperties:
                 workload(target)
             except (faults.CrashError, OSError):
                 pass
-        violation = check_recovered_or_quarantined(target, states, shards=2)
+        violation = check_recovered_or_quarantined(target, states)
         assert violation is None, f"{plan.failed_op}: {violation}"

@@ -1,0 +1,404 @@
+"""Planned reads against the full-scan oracle, plan caching and snapshots.
+
+The load-bearing guarantee of the read path: every read — ``find`` /
+``count_documents`` / ``distinct`` / ``aggregate`` — returns *exactly* what
+the full-scan oracle in ``repro.docstore._reference`` returns: same
+documents, same order, same copies, with or without the plan cache and
+across writes.  On top of that: snapshot-isolated readers across
+``commit()``, pinned by the copy-on-write epochs of the collection's
+partition.
+"""
+
+import string
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.docstore import Collection, Database, DurableDatabase
+from repro.docstore._reference import (
+    aggregate_full_scan,
+    count_full_scan,
+    distinct_full_scan,
+    find_full_scan,
+)
+from repro.docstore.errors import DuplicateKeyError, QueryError
+
+# --------------------------------------------------------------- strategies
+
+fields = st.sampled_from(["ncid", "a", "b"])
+ncids = st.sampled_from(["AA1", "AA2", "BB7", "CC3", "DD9", "EE5"])
+scalars = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from(["x", "y", "zz"]),
+    st.none(),
+    st.booleans(),
+)
+values = st.one_of(scalars, st.lists(st.integers(-5, 5), max_size=3))
+
+documents = st.lists(
+    st.fixed_dictionaries(
+        {"ncid": ncids},
+        optional={
+            "a": values,
+            "b": st.integers(-5, 5),
+            "c": st.text(alphabet=string.ascii_lowercase, max_size=2),
+        },
+    ),
+    max_size=14,
+)
+
+index_specs = st.lists(
+    st.tuples(fields, st.sampled_from(["hash", "sorted"])),
+    unique=True,
+    max_size=3,
+)
+
+simple_conditions = st.one_of(
+    st.builds(lambda f, v: {f: v}, fields, scalars),
+    st.builds(lambda v: {"ncid": v}, ncids),
+    st.builds(lambda vs: {"ncid": {"$in": vs}}, st.lists(ncids, max_size=3)),
+    st.builds(lambda f, v: {f: {"$eq": v}}, fields, values),
+    st.builds(
+        lambda f, op, v: {f: {op: v}},
+        fields,
+        st.sampled_from(["$gt", "$gte", "$lt", "$lte"]),
+        st.one_of(st.integers(-5, 5), st.sampled_from(["x", "y"])),
+    ),
+    st.builds(lambda f, v: {f: {"$ne": v}}, fields, scalars),
+    st.builds(lambda f, e: {f: {"$exists": e}}, fields, st.booleans()),
+)
+
+filters = st.one_of(
+    st.none(),
+    simple_conditions,
+    st.builds(
+        lambda cs: {"$and": cs},
+        st.lists(simple_conditions, min_size=1, max_size=3),
+    ),
+    st.builds(
+        lambda cs: {"$or": cs},
+        st.lists(simple_conditions, min_size=1, max_size=2),
+    ),
+)
+
+sorts = st.one_of(
+    st.none(),
+    st.builds(lambda f, d: [(f, d)], fields, st.sampled_from([1, -1])),
+    st.builds(
+        lambda f1, d1, f2, d2: [(f1, d1), (f2, d2)],
+        fields,
+        st.sampled_from([1, -1]),
+        fields,
+        st.sampled_from([1, -1]),
+    ),
+)
+
+head_stages = st.one_of(
+    st.builds(lambda f: {"$match": f}, simple_conditions),
+    st.builds(lambda f, d: {"$sort": {f: d}}, fields, st.sampled_from([1, -1])),
+    st.builds(lambda n: {"$skip": n}, st.integers(0, 4)),
+    st.builds(lambda n: {"$limit": n}, st.integers(0, 5)),
+)
+tails = st.sampled_from(
+    [
+        [],
+        [{"$project": {"ncid": 1, "b": 1}}],
+        [{"$group": {"_id": "$c", "n": {"$sum": 1}}}],
+        [{"$group": {"_id": "$ncid", "lo": {"$min": "$b"}, "hi": {"$max": "$b"}}}],
+        [{"$group": {"_id": "$c", "first": {"$first": "$a"}, "last": {"$last": "$b"}}}],
+        [{"$count": "total"}],
+    ]
+)
+pipelines = st.builds(
+    lambda heads, tail: heads + tail, st.lists(head_stages, max_size=3), tails
+)
+
+
+def build_pair(docs, indexes):
+    """The indexed collection under test plus its index-free oracle twin."""
+    collection = Collection("c")
+    oracle = Collection("c")
+    for path, kind in indexes:
+        collection.create_index(path, kind)
+    for position, doc in enumerate(docs):
+        stored = dict(doc)
+        stored.setdefault("_id", position)
+        collection.insert_one(dict(stored))
+        oracle.insert_one(dict(stored))
+    return collection, oracle
+
+
+# ----------------------------------------------------- oracle equivalence
+
+
+@given(
+    documents,
+    index_specs,
+    filters,
+    sorts,
+    st.integers(0, 3),
+    st.one_of(st.none(), st.integers(0, 4)),
+)
+@settings(max_examples=250)
+def test_find_equals_full_scan(docs, indexes, filter_doc, sort, skip, limit):
+    collection, oracle = build_pair(docs, indexes)
+    planned = collection.find(filter_doc, sort=sort, limit=limit, skip=skip)
+    naive = find_full_scan(oracle, filter_doc, sort=sort, limit=limit, skip=skip)
+    assert planned == naive
+
+
+@given(documents, index_specs, filters)
+@settings(max_examples=150)
+def test_count_equals_full_scan(docs, indexes, filter_doc):
+    collection, oracle = build_pair(docs, indexes)
+    assert collection.count_documents(filter_doc) == count_full_scan(
+        oracle, filter_doc
+    )
+
+
+@given(documents, index_specs, fields, filters)
+@settings(max_examples=120)
+def test_distinct_equals_full_scan(docs, indexes, path, filter_doc):
+    collection, oracle = build_pair(docs, indexes)
+    assert collection.distinct(path, filter_doc) == distinct_full_scan(
+        oracle, path, filter_doc
+    )
+
+
+@given(documents, index_specs, pipelines)
+@settings(max_examples=250)
+def test_aggregate_equals_full_scan(docs, indexes, pipeline):
+    collection, oracle = build_pair(docs, indexes)
+    assert collection.aggregate(pipeline) == aggregate_full_scan(oracle, pipeline)
+
+
+# ------------------------------------------------------- plan-cache parity
+
+
+@given(
+    documents,
+    index_specs,
+    st.lists(filters, min_size=1, max_size=4),
+    sorts,
+)
+@settings(max_examples=150)
+def test_cached_plans_equal_cold_plans(docs, indexes, query_list, sort):
+    """Memoized planning must be invisible: same documents, same order.
+
+    Every query runs twice against the caching collection — the first
+    fills the template/plan memos, the second replays them — and each run
+    must equal the twin collection planning cold.
+    """
+    cached, _ = build_pair(docs, indexes)
+    cold, _ = build_pair(docs, indexes)
+    cold.plan_cache_enabled = False
+    for filter_doc in list(query_list) * 2:
+        assert cached.find(filter_doc, sort=sort) == cold.find(
+            filter_doc, sort=sort
+        )
+        assert cached.count_documents(filter_doc) == cold.count_documents(
+            filter_doc
+        )
+
+
+@given(documents, index_specs, filters, st.data())
+@settings(max_examples=100)
+def test_plan_cache_invalidates_across_epochs(docs, indexes, filter_doc, data):
+    """Writes between reads must never let a stale plan leak results.
+
+    Interleaves mutations (applied to both twins) with repeated reads of
+    the same filter; the caching twin re-primes after every epoch bump and
+    must keep matching the cold twin exactly.
+    """
+    cached, _ = build_pair(docs, indexes)
+    cold, _ = build_pair(docs, indexes)
+    cold.plan_cache_enabled = False
+    for round_number in range(data.draw(st.integers(1, 3))):
+        cached.find(filter_doc)  # prime (or re-prime) the memo
+        mutation = data.draw(
+            st.sampled_from(["insert", "update", "delete", "replace"])
+        )
+        if mutation == "insert":
+            doc = {"_id": f"new-{round_number}", "ncid": "ZZ9", "b": round_number}
+            cached.insert_one(dict(doc))
+            cold.insert_one(dict(doc))
+        elif mutation == "update":
+            cached.update_many({}, {"$inc": {"b": 1}})
+            cold.update_many({}, {"$inc": {"b": 1}})
+        elif mutation == "delete":
+            cached.delete_many({"b": {"$gte": 4}})
+            cold.delete_many({"b": {"$gte": 4}})
+        else:
+            cached.replace_one({"ncid": "AA1"}, {"ncid": "AA1", "a": round_number})
+            cold.replace_one({"ncid": "AA1"}, {"ncid": "AA1", "a": round_number})
+        assert cached.find(filter_doc) == cold.find(filter_doc)
+        assert list(cached.all()) == list(cold.all())
+    stats = cached._plan_cache.stats()
+    assert stats["misses"] >= 1  # every epoch bump forces a re-plan
+
+
+@given(documents, index_specs, st.data())
+@settings(max_examples=100)
+def test_updates_match_oracle(docs, indexes, data):
+    """Random mutations keep the indexed state oracle-equal: index
+    maintenance under updates never loses or strands a document."""
+    collection, oracle = build_pair(docs, indexes)
+    for _ in range(data.draw(st.integers(1, 3))):
+        update = data.draw(
+            st.sampled_from(
+                [
+                    {"$set": {"a": 9}},
+                    {"$set": {"ncid": "ZZ9"}},
+                    {"$unset": {"a": ""}},
+                    {"$inc": {"b": 1}},
+                    {"$rename": {"a": "c"}},
+                ]
+            )
+        )
+        filter_doc = data.draw(filters) or {}
+        collection.update_many(filter_doc, update)
+        oracle.update_many(filter_doc, update)
+    assert list(collection.all()) == list(oracle.all())
+    for probe in ({"ncid": "ZZ9"}, {"a": 9}, {"b": {"$gte": -9}}):
+        assert collection.find(probe) == find_full_scan(oracle, probe)
+
+
+def test_delete_and_replace_match_oracle():
+    collection, oracle = build_pair(
+        [{"_id": i, "ncid": f"AA{i % 3}", "n": i} for i in range(12)],
+        [("ncid", "hash"), ("n", "sorted")],
+    )
+    for target in (collection, oracle):
+        target.delete_many({"n": {"$gte": 8}})
+        target.replace_one({"_id": 2}, {"ncid": "BB9", "n": 99})
+        target.update_one({"_id": 3}, {"$set": {"ncid": "CC1"}})
+    assert list(collection.all()) == list(oracle.all())
+    assert len(collection) == len(oracle)
+    for probe in ({"ncid": "BB9"}, {"ncid": "CC1"}, {"n": {"$gte": 3}}):
+        assert collection.find(probe) == find_full_scan(oracle, probe)
+
+
+def test_malformed_filter_still_raises():
+    collection = Collection("clusters")
+    collection.insert_many({"_id": i, "ncid": f"AA{i}"} for i in range(4))
+    with pytest.raises(QueryError):
+        collection.find({"ncid": {"$wat": 1}})
+    with pytest.raises(QueryError):
+        collection.count_documents({"$bogus": []})
+
+
+def test_duplicate_id_rejected():
+    collection = Collection("c")
+    collection.insert_one({"_id": 1, "ncid": "AA1"})
+    with pytest.raises(DuplicateKeyError):
+        collection.insert_one({"_id": 1, "ncid": "ZZ9"})
+    with pytest.raises(DuplicateKeyError):
+        collection.insert_many([{"_id": 2}, {"_id": 2}])
+    assert [doc["_id"] for doc in collection.all()] == [1, 2]
+
+
+# -------------------------------------------------------- snapshot isolation
+
+
+def test_snapshot_pins_state_across_commit():
+    database = Database("db")
+    clusters = database.create_collection("clusters")
+    clusters.insert_many({"_id": i, "ncid": f"AA{i}", "n": i} for i in range(8))
+    database.commit()
+
+    view = database.read_view()
+    snap = view["clusters"]
+    assert snap.count_documents() == 8
+
+    clusters.insert_one({"_id": 99, "ncid": "ZZ9", "n": 99})
+    clusters.update_many({}, {"$inc": {"n": 100}})
+    clusters.delete_many({"_id": 0})
+    # Uncommitted writes are invisible to the pinned snapshot...
+    assert snap.count_documents() == 8
+    assert snap.find({"_id": 99}) == []
+    assert snap.find_one({"_id": 1})["n"] == 1
+    # ...and stay invisible to it even after the writer commits.
+    database.commit()
+    assert snap.count_documents() == 8
+    assert snap.find_one({"_id": 1})["n"] == 1
+    # A fresh view sees the committed state.
+    fresh = database.read_view()["clusters"]
+    assert fresh.count_documents() == 8  # 8 + 1 inserted - 1 deleted
+    assert fresh.find_one({"_id": 1})["n"] == 101
+
+
+def test_snapshot_aggregate_and_distinct_pin_too():
+    database = Database("db")
+    collection = database.create_collection("c")
+    collection.insert_many({"_id": i, "ncid": f"A{i}", "g": i % 2} for i in range(6))
+    database.commit()
+    snap = collection.snapshot()
+    expected = snap.aggregate([{"$group": {"_id": "$g", "n": {"$sum": 1}}}])
+    collection.delete_many({})
+    database.commit()
+    assert snap.aggregate([{"$group": {"_id": "$g", "n": {"$sum": 1}}}]) == expected
+    assert snap.distinct("ncid") == [f"A{i}" for i in range(6)]
+    assert list(collection.snapshot().all()) == []
+
+
+def test_uncommitted_writes_invisible_to_new_snapshots():
+    database = Database("db")
+    collection = database.create_collection("c")
+    collection.insert_one({"_id": 1, "ncid": "AA1"})
+    # No commit yet: a snapshot sees the initial (empty) published epoch.
+    assert list(collection.snapshot().all()) == []
+    database.commit()
+    assert len(list(collection.snapshot().all())) == 1
+
+
+def test_concurrent_readers_see_consistent_epochs():
+    """Readers racing a committing writer never observe a torn epoch:
+    every read returns a multiple of the per-commit batch, with every
+    document carrying the same version stamp."""
+    database = Database("db")
+    collection = database.create_collection("c")
+    batch = 8
+    stop = threading.Event()
+    torn = []
+
+    def reader():
+        while not stop.is_set():
+            snap = collection.snapshot()
+            docs = list(snap.all())
+            versions = {doc["v"] for doc in docs}
+            if len(docs) % batch or len(versions) > (1 if docs else 0):
+                torn.append((len(docs), versions))
+                return
+
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    try:
+        for version in range(25):
+            for i in range(batch):
+                collection.insert_one(
+                    {"_id": version * batch + i, "ncid": f"A{i}", "v": version}
+                )
+            collection.update_many({}, {"$set": {"v": version}})
+            database.commit()
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    assert not torn, f"torn reads observed: {torn[:3]}"
+
+
+def test_readers_pinned_across_durable_commit(tmp_path):
+    database = DurableDatabase(tmp_path / "store")
+    collection = database.get_collection("c")
+    collection.insert_one({"_id": 1, "ncid": "AA1", "n": 1})
+    database.commit()
+    snap = collection.snapshot()
+    collection.update_one({"_id": 1}, {"$set": {"n": 2}})
+    assert snap.find_one({"_id": 1})["n"] == 1  # staged write invisible
+    database.commit()
+    assert snap.find_one({"_id": 1})["n"] == 1  # pinned epoch survives
+    assert collection.snapshot().find_one({"_id": 1})["n"] == 2
+    database.close(commit=False)

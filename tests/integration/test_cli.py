@@ -317,7 +317,7 @@ class TestScrubCommand:
         output = capsys.readouterr().out
         assert "resilience:" in output
         assert "degraded_reads" in output
-        assert "quarantined_shards" in output
+        assert "quarantined_collections" in output
 
 
 class TestRecoverCommand:

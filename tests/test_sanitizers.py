@@ -177,12 +177,10 @@ class TestLazyViewMutationSafety:
     are the caller's to wreck, and the stored state must not notice.
     """
 
-    @given(_view_documents, st.sampled_from((1, 3)), st.data())
+    @given(_view_documents, st.data())
     @settings(max_examples=120, deadline=None)
-    def test_mutating_results_never_corrupts_stored_state(
-        self, docs, shards, data
-    ):
-        collection = Collection("c", shards=shards)
+    def test_mutating_results_never_corrupts_stored_state(self, docs, data):
+        collection = Collection("c")
         collection.create_index("ncid", "hash")
         for position, doc in enumerate(docs):
             stored = dict(doc)
