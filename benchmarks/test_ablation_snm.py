@@ -9,7 +9,7 @@ both knobs and reports candidate counts (cost) against lost gold pairs
 import pytest
 
 from repro.core import customize
-from repro.dedup import multipass_sorted_neighborhood, pick_blocking_keys
+from repro.dedup import DetectionPipeline, pack_pairs
 from repro.votersim.schema import PERSON_ATTRIBUTES
 
 from bench_utils import write_result
@@ -27,12 +27,13 @@ def blocking_dataset(bench_generator, bench_scorer):
 
 
 def sweep(records, gold_pairs, attributes):
+    gold_keys = pack_pairs(gold_pairs, len(records))
     results = {}
     for passes in PASS_COUNTS:
-        keys = pick_blocking_keys(records, attributes, passes)
         for window in WINDOWS:
-            candidates = multipass_sorted_neighborhood(records, keys, window)
-            lost = len(gold_pairs - candidates)
+            pipeline = DetectionPipeline(window=window, passes=passes)
+            candidates, _stats = pipeline.candidates(records, attributes)
+            lost = len(gold_keys - candidates)
             results[(passes, window)] = (len(candidates), lost)
     return results
 

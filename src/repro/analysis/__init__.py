@@ -32,7 +32,6 @@ from repro.analysis.analyzer import (
     require_clean,
 )
 from repro.analysis.customization import analyze_customization
-from repro.analysis.dedup_usage import analyze_dedup_usage
 from repro.analysis.index_usage import analyze_index_usage
 from repro.analysis.diagnostics import (
     ERROR,
@@ -77,7 +76,6 @@ __all__ = [
     "errors_only",
     "render_report",
     "analyze_filter",
-    "analyze_dedup_usage",
     "analyze_index_usage",
     "analyze_pipeline",
     "analyze_update",

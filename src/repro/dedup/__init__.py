@@ -3,28 +3,24 @@
 Section 6.5's setup:
 
 * candidate generation with a multi-pass Sorted Neighborhood Method —
-  one pass per highly unique attribute, window size 20
-  (:mod:`repro.dedup.blocking`);
+  one pass per highly unique attribute (:mod:`repro.dedup.blocking`
+  picks them), window size 20;
 * record similarity as the entropy-weighted average of attribute value
   similarities, with the three name attributes matched 1:1 in their best
   permutation (:mod:`repro.dedup.matching`);
 * classification by similarity threshold and evaluation as precision /
   recall / F1 over a threshold sweep (:mod:`repro.dedup.evaluate`);
-* a streaming, parallel end-to-end pipeline for all of the above at
-  register scale — packed candidate pairs, columnar scoring over
-  distinct value pairs, sharded pair scoring — bit-identical to the naive framework
-  (:mod:`repro.dedup.pipeline`).
+* the one way to generate and score candidates: a streaming, parallel
+  end-to-end pipeline — packed candidate pairs, columnar scoring over
+  distinct value pairs, sharded pair scoring — bit-identical to the naive
+  oracles of :mod:`repro.dedup._reference` (:mod:`repro.dedup.pipeline`).
 """
 
 from __future__ import annotations
 
 from repro.dedup.blocking import (
     BlockingStats,
-    SortedNeighborhood,
     StandardBlocking,
-    multipass_blocking,
-    multipass_blocking_with_stats,
-    multipass_sorted_neighborhood,
     pick_blocking_keys,
 )
 from repro.dedup.pipeline import (
@@ -67,7 +63,6 @@ from repro.dedup.evaluate import (
     evaluate_thresholds,
     f1_score,
     precision_recall_f1,
-    score_candidates,
 )
 from repro.dedup.clustering import (
     closure_pair_metrics,
@@ -79,12 +74,8 @@ from repro.dedup.clustering import (
 from repro.dedup.matching import RecordMatcher
 
 __all__ = [
-    "SortedNeighborhood",
     "StandardBlocking",
     "BlockingStats",
-    "multipass_blocking",
-    "multipass_blocking_with_stats",
-    "multipass_sorted_neighborhood",
     "pick_blocking_keys",
     "RecordMatcher",
     "DetectionPipeline",
@@ -116,7 +107,6 @@ __all__ = [
     "score_candidates_packed",
     "EvaluationPoint",
     "best_f1",
-    "score_candidates",
     "evaluate_thresholds",
     "precision_recall_f1",
     "confusion_counts",

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
-
-from repro.dedup.matching import RecordMatcher
+from typing import Dict, List, Sequence, Set, Tuple
 
 Pair = Tuple[int, int]
 
@@ -62,26 +60,6 @@ def precision_recall_f1(predicted: Set[Pair], gold: Set[Pair]) -> Tuple[float, f
     tp, fp, fn = confusion_counts(predicted, gold)
     point = EvaluationPoint(0.0, tp, fp, fn)
     return point.precision, point.recall, point.f1
-
-
-def score_candidates(
-    records: Sequence[Dict[str, str]],
-    candidates: Iterable[Pair],
-    matcher: Callable[[Dict[str, str], Dict[str, str]], float],
-) -> Dict[Pair, float]:
-    """Similarity of every candidate pair (computed once for all sweeps).
-
-    A :class:`~repro.dedup.matching.RecordMatcher` scores all pairs in one
-    columnar batch (:meth:`~repro.dedup.matching.RecordMatcher.score_pairs`),
-    bit-identical to calling it per pair; any other callable is called
-    once per pair.
-    """
-    if isinstance(matcher, RecordMatcher):
-        return matcher.score_pairs(records, candidates)
-    return {
-        pair: matcher(records[pair[0]], records[pair[1]])
-        for pair in candidates
-    }
 
 
 def evaluate_thresholds(

@@ -12,10 +12,9 @@ Two call forms, bit-identical to each other:
 * :meth:`RecordMatcher.similarity` — the per-pair path: strips and
   compares the raw record dicts on every call;
 * :meth:`RecordMatcher.score_pairs` — the columnar batch path used by
-  :mod:`repro.dedup.pipeline` and :func:`repro.dedup.evaluate.score_candidates`:
-  values are interned to integer codes once per call, and the measure runs
-  once per *distinct* value pair of each attribute slot instead of once per
-  candidate pair.
+  :mod:`repro.dedup.pipeline`: values are interned to integer codes once
+  per call, and the measure runs once per *distinct* value pair of each
+  attribute slot instead of once per candidate pair.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 The paper's headline evaluation runs a multi-pass Sorted Neighborhood
 (window 20, one pass per highly unique attribute) and scores every
 candidate pair with the weighted 1:1-name record matcher.  At register
-scale that is tens of millions of candidate pairs, and the naive framework
-in this package — tuple sets unioned eagerly, one ``similarity()`` call
-per pair in a single process — becomes the bottleneck.  This module is the
-scaled path, **bit-identical** to the naive one (enforced against the
-oracles in :mod:`repro.dedup._reference` by
+scale that is tens of millions of candidate pairs, too many for pair sets
+unioned eagerly and one ``similarity()`` call per pair in a single
+process.  This module is the package's one way to generate and score
+candidates, **bit-identical** to those naive oracles, which live in
+:mod:`repro.dedup._reference` (enforced by
 ``tests/dedup/test_pipeline_equivalence.py``):
 
 * **Packed candidate pairs.**  A pair ``(i, j)`` with ``i < j < n`` is one
@@ -43,12 +43,7 @@ import dataclasses
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.parallel import effective_worker_count, run_shards, shard_of_int
-from repro.dedup.blocking import (
-    BlockingStats,
-    SortedNeighborhood,
-    StandardBlocking,
-    pick_blocking_keys,
-)
+from repro.dedup.blocking import BlockingStats, StandardBlocking, pick_blocking_keys
 from repro.dedup.evaluate import (
     EvaluationPoint,
     best_f1,
@@ -145,8 +140,11 @@ def pack_pairs(pairs: Iterable[Pair], record_count: int) -> Set[int]:
 
 
 def unpack_pairs(keys: Iterable[int], record_count: int) -> Set[Pair]:
-    """Unpack a packed-key set back into ``(i, j)`` tuples."""
-    return {divmod(key, record_count) for key in keys}
+    """Unpack a packed-key set back into ``(i, j)`` tuples.
+
+    Every key is validated as in :func:`unpack_pair`.
+    """
+    return {unpack_pair(key, record_count) for key in keys}
 
 
 # -------------------------------------------------- streaming candidate gen
@@ -157,11 +155,11 @@ def iter_sorted_neighborhood_keys(
 ) -> Iterator[int]:
     """One Sorted Neighborhood pass as a stream of packed pair keys.
 
-    Same sort and same sliding window as
-    :class:`repro.dedup.blocking.SortedNeighborhood`, but pairs are
-    yielded lazily as packed ints — nothing per-pass is materialized, and
-    duplicates within the window (impossible for SNM, possible for
-    blocking) would simply collapse in the consuming set.
+    Records are sorted by the stripped value of ``key_attribute``; every
+    pair within a sliding window of ``window`` records is yielded lazily
+    as a packed int — nothing per-pass is materialized, and duplicates
+    within the window (impossible for SNM, possible for blocking) would
+    simply collapse in the consuming set.
     """
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
@@ -284,7 +282,7 @@ def collect_candidates(
 
     Every pass streams into the same ``set[int]``; per-pass emitted/new
     counts are tracked on the fly, so no pass is ever materialized on its
-    own (the eager tuple-set union kept every pass's set alive at once).
+    own.
     """
     _check_packable(record_count)
     keys: Set[int] = set()
@@ -307,9 +305,9 @@ def sorted_neighborhood_candidates(
 ) -> Tuple[Set[int], CandidateStats]:
     """Multi-pass SNM candidates as packed keys, one streamed pass per key.
 
-    Equals ``pack_pairs(multipass_sorted_neighborhood(records, keys, w))``
-    — asserted by the equivalence suite — without ever materializing a
-    per-pass tuple set.
+    Equals ``pack_pairs(multipass_pairs_reference(records, keys, w))`` of
+    :mod:`repro.dedup._reference` — asserted by the equivalence suite —
+    without ever materializing a per-pass pair set.
     """
     return collect_candidates(
         (
@@ -388,15 +386,21 @@ def score_candidates_packed(
 
     Worker counts beyond the machine's CPU count are clamped (with a
     once-per-process :class:`repro.core.parallel.WorkerClampWarning`)
-    before deciding between the in-process and sharded paths.
+    before deciding between the in-process and sharded paths.  Keys
+    outside ``[0, len(records)**2)`` raise :class:`ValueError`.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     max_workers = effective_worker_count(max_workers, label="parallel pair scoring")
     ordered = sorted(keys)
+    record_count = len(records)
+    if ordered:
+        # Sorted, so the two ends bound every key: a negative key would
+        # otherwise wrap around through numpy's negative indexing.
+        unpack_pair(ordered[0], record_count)
+        unpack_pair(ordered[-1], record_count)
     if not max_workers or shards == 1:
         # A single shard gains nothing from a process round-trip.
-        record_count = len(records)
         return matcher.score_pairs(
             records, [divmod(key, record_count) for key in ordered]
         )
@@ -517,8 +521,12 @@ class DetectionPipeline:
         self.passes = passes
         self.key_attributes = tuple(key_attributes) if key_attributes else None
         self.thresholds = tuple(thresholds)
+        if not self.thresholds:
+            raise ValueError("thresholds must name at least one threshold")
         self.workers = workers
         self.shards = shards if shards is not None else max(workers, 1)
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
         self.max_retries = max_retries
         self.timeout = timeout
         self.backoff = backoff
@@ -626,18 +634,21 @@ class DetectionPipeline:
         gold: Optional[Set[Pair]] = None,
         thresholds: Optional[Sequence[float]] = None,
     ) -> DetectionResult:
-        """Run the full pipeline and sweep the thresholds against ``gold``."""
+        """Run the full pipeline and sweep the thresholds against ``gold``.
+
+        Every gold pair must be ``(i, j)`` with ``0 <= i < j < len(records)``
+        (:class:`ValueError` otherwise): a reversed pair could never be a
+        true positive, and an out-of-range one would alias another pair's
+        packed key.
+        """
+        record_count = len(records)
+        gold = gold or set()
+        gold_keys = pack_pairs(gold, record_count)
         candidate_keys, stats = self.candidates(records, attributes)
         similarities = self.score(records, candidate_keys, matcher)
-        gold = gold or set()
         sweep = tuple(thresholds) if thresholds is not None else self.thresholds
         points = evaluate_thresholds(similarities, gold, sweep)
-        record_count = len(records)
-        gold_missed = sum(
-            1
-            for left, right in gold
-            if left * record_count + right not in candidate_keys
-        )
+        gold_missed = len(gold_keys - candidate_keys)
         return DetectionResult(
             record_count=record_count,
             candidate_keys=candidate_keys,

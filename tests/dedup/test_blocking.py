@@ -3,9 +3,9 @@
 import pytest
 
 from repro.dedup import (
-    SortedNeighborhood,
-    multipass_sorted_neighborhood,
     pick_blocking_keys,
+    sorted_neighborhood_candidates,
+    unpack_pairs,
 )
 
 
@@ -16,6 +16,12 @@ RECORDS = [
     {"last_name": "BAKKER", "zip": "28801"},
     {"last_name": "YOUNG", "zip": "27601"},
 ]
+
+
+def snm_pairs(records, key_attributes, window):
+    """Multi-pass SNM candidates as ``(i, j)`` tuples."""
+    packed, _stats = sorted_neighborhood_candidates(records, key_attributes, window)
+    return unpack_pairs(packed, len(records))
 
 
 class TestPickBlockingKeys:
@@ -37,49 +43,47 @@ class TestPickBlockingKeys:
             pick_blocking_keys(RECORDS, ("zip",), count=0)
 
 
-class TestSortedNeighborhood:
+class TestSortedNeighborhoodCandidates:
     def test_window_two_links_sorted_neighbours(self):
-        pass_ = SortedNeighborhood("last_name", window=2)
-        pairs = pass_.candidates(RECORDS)
+        pairs = snm_pairs(RECORDS, ["last_name"], window=2)
         assert (0, 1) in pairs  # ADAMS / ADAMSON adjacent
         assert (2, 3) in pairs  # BAKER / BAKKER adjacent
         assert (0, 4) not in pairs  # ADAMS / YOUNG far apart
 
     def test_pairs_normalised(self):
-        pairs = SortedNeighborhood("last_name", window=3).candidates(RECORDS)
+        pairs = snm_pairs(RECORDS, ["last_name"], window=3)
         assert all(i < j for i, j in pairs)
 
     def test_window_covers_everything_when_large(self):
-        pairs = SortedNeighborhood("last_name", window=50).candidates(RECORDS)
+        pairs = snm_pairs(RECORDS, ["last_name"], window=50)
         assert len(pairs) == 10  # C(5, 2)
 
     def test_candidate_count_bounded_by_window(self):
-        pass_ = SortedNeighborhood("last_name", window=2)
-        pairs = pass_.candidates(RECORDS)
+        pairs = snm_pairs(RECORDS, ["last_name"], window=2)
         assert len(pairs) <= len(RECORDS) * 1  # w-1 per record
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
-            SortedNeighborhood("x", window=1)
+            snm_pairs(RECORDS, ["x"], window=1)
 
     def test_empty_records(self):
-        assert SortedNeighborhood("x", window=5).candidates([]) == set()
+        assert snm_pairs([], ["x"], window=5) == set()
 
 
 class TestMultipass:
     def test_union_of_passes(self):
-        single_name = SortedNeighborhood("last_name", 2).candidates(RECORDS)
-        single_zip = SortedNeighborhood("zip", 2).candidates(RECORDS)
-        multi = multipass_sorted_neighborhood(RECORDS, ["last_name", "zip"], 2)
+        single_name = snm_pairs(RECORDS, ["last_name"], 2)
+        single_zip = snm_pairs(RECORDS, ["zip"], 2)
+        multi = snm_pairs(RECORDS, ["last_name", "zip"], 2)
         assert multi == single_name | single_zip
 
     def test_multipass_recovers_pairs_single_pass_misses(self):
         # ADAMS and YOUNG share a zip but sort far apart by name
-        multi = multipass_sorted_neighborhood(RECORDS, ["last_name", "zip"], 2)
-        zip_sorted_only = multipass_sorted_neighborhood(RECORDS, ["zip"], 2)
-        name_sorted_only = multipass_sorted_neighborhood(RECORDS, ["last_name"], 2)
+        multi = snm_pairs(RECORDS, ["last_name", "zip"], 2)
+        zip_sorted_only = snm_pairs(RECORDS, ["zip"], 2)
+        name_sorted_only = snm_pairs(RECORDS, ["last_name"], 2)
         assert multi >= zip_sorted_only
         assert multi >= name_sorted_only
 
     def test_no_passes_yields_nothing(self):
-        assert multipass_sorted_neighborhood(RECORDS, [], 5) == set()
+        assert snm_pairs(RECORDS, [], 5) == set()

@@ -9,7 +9,6 @@ from repro.dedup import (
     evaluate_thresholds,
     f1_score,
     precision_recall_f1,
-    score_candidates,
 )
 
 
@@ -43,15 +42,6 @@ class TestBasicMetrics:
         assert point.precision == 0.8
         assert point.recall == 0.8
         assert point.f1 == pytest.approx(0.8)
-
-
-class TestScoreCandidates:
-    def test_scores_each_pair_once(self):
-        records = [{"v": "A"}, {"v": "A"}, {"v": "B"}]
-        similarities = score_candidates(
-            records, [(0, 1), (0, 2)], lambda l, r: 1.0 if l == r else 0.0
-        )
-        assert similarities == {(0, 1): 1.0, (0, 2): 0.0}
 
 
 class TestEvaluateThresholds:

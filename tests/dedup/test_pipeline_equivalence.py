@@ -1,4 +1,4 @@
-"""The streaming pipeline must be *bit-identical* to the naive framework.
+"""The streaming pipeline must be *bit-identical* to the naive oracles.
 
 :mod:`repro.dedup.pipeline` keeps a naive oracle next to it
 (:mod:`repro.dedup._reference`) precisely so this suite can assert exact
@@ -7,10 +7,11 @@ equality — not approximate — for every optimised stage:
 * packed-key candidate generation (SNM and standard blocking) against the
   eager tuple-set oracles;
 * the columnar batch scorer (``RecordMatcher.score_pairs``, behind
-  ``score_candidates_packed`` and ``score_candidates``) against the
-  per-pair ``similarity`` accumulation;
-* sharded parallel scoring and the end-to-end ``DetectionPipeline``
-  against the single-process sweep, for worker counts 0 / 1 / 4.
+  ``score_candidates_packed``) against the per-pair ``similarity``
+  accumulation;
+* sharded parallel scoring against the single-process sweep, for worker
+  counts 0 / 1 / 4, and the end-to-end ``DetectionPipeline`` against the
+  oracles' candidates, scores and evaluation points.
 """
 
 import string
@@ -28,11 +29,8 @@ from repro.dedup import (
     StandardBlocking,
     blocking_candidates,
     evaluate_thresholds,
-    multipass_blocking,
-    multipass_sorted_neighborhood,
     pack_pair,
     pack_pairs,
-    score_candidates,
     score_candidates_packed,
     sorted_neighborhood_candidates,
     unpack_pair,
@@ -124,6 +122,16 @@ class TestPackedKeys:
             unpack_pair(100, 10)  # == count * count
         # largest valid key for count=10 decodes fine
         assert unpack_pair(8 * 10 + 9, 10) == (8, 9)
+        # divmod alone would decode -1 to (-1, 9) and 100 to (10, 0)
+        for bad in (-1, 100):
+            with pytest.raises(ValueError):
+                unpack_pairs({bad, 5}, 10)
+        # numpy's negative indexing would score -1 as the pair (-1, 2)
+        records = [{"a": "X"}, {"a": "Y"}, {"a": "X"}]
+        matcher = RecordMatcher(exact, {"a": 1.0}, name_attributes=())
+        for bad in (-1, 9):
+            with pytest.raises(ValueError):
+                score_candidates_packed(records, {bad, 1}, matcher)
 
 
 class TestCandidateEquivalence:
@@ -135,8 +143,6 @@ class TestCandidateEquivalence:
         packed, stats = sorted_neighborhood_candidates(records, keys, window)
         assert packed == pack_pairs(oracle, len(records))
         assert stats.unique_pairs == len(oracle)
-        # the public (still tuple-based) API must agree too
-        assert multipass_sorted_neighborhood(records, keys, window) == oracle
 
     @given(records_strategy, st.integers(2, 6))
     @settings(max_examples=150, deadline=None)
@@ -149,7 +155,6 @@ class TestCandidateEquivalence:
         )
         packed, stats = blocking_candidates(records, [blocker])
         assert packed == pack_pairs(oracle, len(records))
-        assert multipass_blocking(records, [blocker]) == oracle
         dropped = stats.pairs_dropped
         total_possible = stats.pairs_emitted + dropped
         assert len(oracle) + dropped == total_possible
@@ -232,7 +237,6 @@ class TestColumnarScorer:
             (i, j): matcher.similarity(records[i], records[j]) for i, j in pairs
         }
         assert matcher.score_pairs(records, pairs) == expected
-        assert score_candidates(records, pairs, matcher) == expected
 
     def test_all_equal_names_keep_the_early_exit_total(self):
         # Every name value equal: similarity() sums the weights in slot
@@ -361,14 +365,20 @@ class TestEndToEndEquivalence:
         records, gold = small_dataset
         thresholds = [t / 20 for t in range(4, 20)]
 
-        # the naive framework, end to end
-        naive_candidates = multipass_sorted_neighborhood(
+        # the naive oracles, end to end
+        naive_candidates = ref.multipass_pairs_reference(
             records, ATTRIBUTES[:3], 4
         )
         matcher = RecordMatcher.from_records(
             records, ATTRIBUTES, MongeElkan(), NAME_ATTRIBUTES
         )
-        naive_scores = score_candidates(records, naive_candidates, matcher)
+        naive_scores = ref.score_candidates_reference(
+            records,
+            naive_candidates,
+            tref.symmetric_monge_elkan,
+            matcher.weights,
+            NAME_ATTRIBUTES,
+        )
         naive_points = evaluate_thresholds(naive_scores, gold, thresholds)
 
         pipeline = DetectionPipeline(
@@ -394,4 +404,18 @@ class TestEndToEndEquivalence:
         with pytest.raises(ValueError):
             DetectionPipeline(workers=-1)
         with pytest.raises(ValueError):
+            DetectionPipeline(shards=0)
+        with pytest.raises(ValueError):
+            DetectionPipeline(thresholds=())
+        with pytest.raises(ValueError):
             score_candidates_packed([], set(), RecordMatcher(exact, {"a": 1.0}), shards=0)
+
+    @pytest.mark.parametrize("pair", [(0, 5), (1, 0), (1, 1), (-1, 2)])
+    def test_detect_rejects_invalid_gold_pairs(self, pair):
+        # (0, 5) with 3 records packs to 5, the key of candidate (1, 2);
+        # (1, 0) could never be a true positive.
+        records = [{"a": "X"}, {"a": "Y"}, {"a": "X"}]
+        matcher = RecordMatcher(exact, {"a": 1.0}, name_attributes=())
+        pipeline = DetectionPipeline(window=3, key_attributes=("a",))
+        with pytest.raises(ValueError):
+            pipeline.detect(records, ("a",), matcher, {(0, 2), pair})

@@ -9,12 +9,10 @@ from repro.core.heterogeneity import HeterogeneityScorer
 from repro.core.plausibility import cluster_plausibility
 from repro.core.versioning import UpdateProcess
 from repro.dedup import (
+    DetectionPipeline,
     RecordMatcher,
     best_f1,
     evaluate_thresholds,
-    multipass_sorted_neighborhood,
-    pick_blocking_keys,
-    score_candidates,
 )
 from repro.docstore import Database
 from repro.textsim import MongeElkan
@@ -43,9 +41,9 @@ class TestFullPipeline:
         _generator, _scorer, dataset = pipeline
         attributes = [a for a in PERSON_ATTRIBUTES if a != "ncid"]
         matcher = RecordMatcher.from_records(dataset.records, attributes, MongeElkan())
-        keys = pick_blocking_keys(dataset.records, attributes, 5)
-        candidates = multipass_sorted_neighborhood(dataset.records, keys, window=20)
-        similarities = score_candidates(dataset.records, candidates, matcher)
+        pipeline = DetectionPipeline(window=20, passes=5)
+        candidates, _stats = pipeline.candidates(dataset.records, attributes)
+        similarities = pipeline.score(dataset.records, candidates, matcher)
         points = evaluate_thresholds(
             similarities, dataset.gold_pairs, [t / 20 for t in range(8, 20)]
         )
@@ -61,9 +59,9 @@ class TestFullPipeline:
         results = {}
         for name, dataset in (("clean", clean), ("dirty", dirty)):
             matcher = RecordMatcher.from_records(dataset.records, attributes, MongeElkan())
-            keys = pick_blocking_keys(dataset.records, attributes, 5)
-            candidates = multipass_sorted_neighborhood(dataset.records, keys, window=20)
-            similarities = score_candidates(dataset.records, candidates, matcher)
+            pipeline = DetectionPipeline(window=20, passes=5)
+            candidates, _stats = pipeline.candidates(dataset.records, attributes)
+            similarities = pipeline.score(dataset.records, candidates, matcher)
             points = evaluate_thresholds(
                 similarities, dataset.gold_pairs, [t / 20 for t in range(8, 20)]
             )
