@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-concurrency typecheck bench bench-scoring bench-docstore bench-durability bench-dedup bench-lsh bench-hotpath bench-robustness test-faults test-chaos examples validate-docs clean
+.PHONY: install test lint lint-concurrency typecheck bench bench-smoke bench-scoring bench-docstore bench-durability bench-dedup bench-lsh bench-hotpath bench-robustness test-faults test-chaos examples validate-docs clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -20,6 +20,12 @@ typecheck:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# Smoke test of the end-to-end benchmark (perfbench/run.py) at its tiny
+# size: every workload runs, every metric prints with its unit and the
+# oracle checks hold.  Correctness only: no timing is gated.
+bench-smoke:
+	python -m pytest perfbench/test_smoke.py -q
 
 # Quick scoring benchmark: fast kernels + batching vs the naive reference.
 # Writes machine-readable timings/speedups to BENCH_scoring.json and fails

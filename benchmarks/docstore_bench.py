@@ -34,13 +34,17 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from bench_utils import git_sha
 from repro.docstore import Collection
 from repro.docstore._reference import aggregate_full_scan, find_full_scan
+
+#: Seed of the synthetic collection's documents.
+SEED = 20210323
 
 CITIES = ["asheville", "boone", "cary", "durham", "elkin", "fuquay", "garner"]
 
 
-def build_collection(documents: int, seed: int = 20210323) -> Collection:
+def build_collection(documents: int, seed: int = SEED) -> Collection:
     """A clusters-like collection with the generator's index layout."""
     rng = random.Random(seed)
     collection = Collection("clusters")
@@ -156,7 +160,9 @@ def run_benchmark(documents: int, queries: int, repeats: int) -> Dict:
         },
         "environment": {
             "python": sys.version.split()[0],
+            "git_sha": git_sha(),
             "cpu_count": os.cpu_count(),
+            "seed": SEED,
         },
         "timings": timings,
     }

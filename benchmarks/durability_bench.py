@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
+from bench_utils import git_sha
 from repro.docstore import Database, DurableDatabase
 
 
@@ -145,7 +146,11 @@ def run_benchmark(documents: int, fsync_batches: Sequence[int]) -> Dict:
             },
             "environment": {
                 "python": sys.version.split()[0],
+                "git_sha": git_sha(),
                 "cpu_count": os.cpu_count(),
+                # The documents are a pure function of their index: no
+                # random draws, so no seed.
+                "seed": None,
             },
             "timings": {
                 "in_memory_baseline": bench_in_memory(documents),

@@ -38,6 +38,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Set
 
+from bench_utils import git_sha
 from repro.core import RemovalLevel, TestDataGenerator, customize
 from repro.core.augment import AugmentationPlan, Augmenter
 from repro.dedup import (
@@ -279,7 +280,9 @@ def run_benchmark(initial_sizes: Sequence[int], repeats: int) -> Dict:
         "gates": gates,
         "environment": {
             "python": sys.version.split()[0],
+            "git_sha": git_sha(),
             "cpu_count": os.cpu_count(),
+            "seed": SEED,
         },
     }
 

@@ -13,22 +13,36 @@ Two call forms, bit-identical to each other:
   compares the raw record dicts on every call;
 * :meth:`RecordMatcher.score_pairs` — the columnar batch path used by
   :mod:`repro.dedup.pipeline`: values are interned to integer codes once
-  per call, and the measure runs once per *distinct* value pair of each
-  attribute slot instead of once per candidate pair.
+  per call, and the measure scores each *distinct* value pair of each
+  attribute slot once instead of once per candidate pair.  Every slot's
+  distinct pairs go to the measure in one batch call,
+  :meth:`~repro.textsim.base.SimilarityMeasure.similarities`, which
+  :class:`~repro.textsim.MongeElkan` runs as one vectorised
+  edit-distance pass; a plain function is called once per pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Callable, Dict, Iterable, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.heterogeneity import entropy_weights
+from repro.textsim.base import SimilarityMeasure
 
 SimilarityFn = Callable[[str, str], float]
+BatchSimilarityFn = Callable[[Sequence[str], Sequence[str]], Sequence[float]]
 Pair = Tuple[int, int]
 
 #: The attribute group matched 1:1 in its best permutation.
 DEFAULT_NAME_ATTRIBUTES = ("first_name", "midl_name", "last_name")
+
+
+def _pairwise(
+    measure: SimilarityFn, lefts: Sequence[str], rights: Sequence[str]
+) -> List[float]:
+    """The batch form of a plain similarity function: one call per pair."""
+    return [measure(left, right) for left, right in zip(lefts, rights)]
 
 
 class RecordMatcher:
@@ -57,6 +71,12 @@ class RecordMatcher:
         if not weights:
             raise ValueError("weights must not be empty")
         self.measure = measure
+        # score_pairs' batch form of the measure, resolved once.
+        self._similarities: BatchSimilarityFn = (
+            measure.similarities
+            if isinstance(measure, SimilarityMeasure)
+            else functools.partial(_pairwise, measure)
+        )
         self.weights = dict(weights)
         self.name_attributes = tuple(a for a in name_attributes if a in self.weights)
         # Zero-weight attributes are dropped up front: their terms were
@@ -163,9 +183,11 @@ class RecordMatcher:
         Stripped values are interned to integer codes assigned in sorted
         string order, so ``(min code, max code)`` is the ``(min str,
         max str)`` argument order of :meth:`_value_similarity`.  Each name
-        slot pairing and each other attribute then calls the measure once
-        per distinct unequal code pair; equal values score 1.0 without a
-        call.  The results are gathered back per pair and accumulated in
+        slot pairing and each other attribute then scores each of its
+        distinct unequal code pairs once, all slots' pairs in one batch
+        call of the measure (a pair repeated across slots is scored once
+        per slot); equal values score 1.0 without a call.  The results
+        are gathered back per pair and accumulated in
         :meth:`similarity`'s order: the best name permutation first, then
         ``total += weight * score`` per other attribute, then the division.
         """
@@ -193,35 +215,53 @@ class RecordMatcher:
             )
             for column in columns
         ]
-        measure = self.measure
-
-        def slot_scores(left_codes, right_codes):
+        # Every slot pairing: each name slot against each name slot, then
+        # each other attribute against itself.
+        names = len(self.name_attributes)
+        slots = [(a, b) for a in range(names) for b in range(names)] + [
+            (slot, slot) for slot in range(names, len(attributes))
+        ]
+        # Pass 1: each slot's distinct unequal code pairs, and per candidate
+        # pair the position of its score in the batch (-1: equal, 1.0).
+        keys = []
+        positions = []
+        offset = 0
+        # Small enough for -1 and every batch position: at most
+        # count * len(slots) distinct pairs.
+        position_type = np.min_scalar_type(-count * len(slots) - 1)
+        for left_slot, right_slot in slots:
+            left_codes, right_codes = codes[left_slot][left], codes[right_slot][right]
             low = np.minimum(left_codes, right_codes)
             high = np.maximum(left_codes, right_codes)
             differ = low != high
-            scores = np.ones(count)
-            if differ.any():
-                distinct, inverse = np.unique(
-                    low[differ] * width + high[differ], return_inverse=True
-                )
-                scored = np.array(
-                    [
-                        measure(values[key // width], values[key % width])
-                        for key in distinct.tolist()
-                    ],
-                    dtype=np.float64,
-                )
-                scores[differ] = scored[inverse]
-            return scores
+            distinct, inverse = np.unique(
+                low[differ] * width + high[differ], return_inverse=True
+            )
+            position = np.full(count, -1, dtype=position_type)
+            position[differ] = inverse + offset
+            offset += len(distinct)
+            keys.append(distinct)
+            positions.append(position)
+        # Pass 2: one batch call of the measure over every slot's pairs.
+        batch = np.concatenate(keys)
+        scored = np.append(
+            np.asarray(
+                self._similarities(
+                    list(map(values.__getitem__, (batch // width).tolist())),
+                    list(map(values.__getitem__, (batch % width).tolist())),
+                ),
+                dtype=np.float64,
+            ),
+            1.0,
+        )
 
         total = np.zeros(count)
-        names = len(self.name_attributes)
         if names:
             left_names = [codes[slot][left] for slot in range(names)]
             right_names = [codes[slot][right] for slot in range(names)]
             scores = [
-                [slot_scores(left_code, right_code) for right_code in right_names]
-                for left_code in left_names
+                [scored[positions[index * names + other]] for other in range(names)]
+                for index in range(names)
             ]
             best = np.full(count, -1.0)
             for permutation in itertools.permutations(range(names)):
@@ -240,8 +280,7 @@ class RecordMatcher:
             equal_total = self._name_assignment_score(("",) * names, ("",) * names)
             total += np.where(all_equal, equal_total, best)
         for index, weight in enumerate(self._other_weights):
-            column = codes[names + index]
-            total += weight * slot_scores(column[left], column[right])
+            total += weight * scored[positions[names * names + index]]
         return dict(zip(pairs, (total / self._total_weight).tolist()))
 
     def __call__(self, left: Dict[str, str], right: Dict[str, str]) -> float:

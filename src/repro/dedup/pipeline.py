@@ -20,10 +20,13 @@ candidates, **bit-identical** to those naive oracles, which live in
 * **Columnar scoring over distinct value pairs.**
   :meth:`repro.dedup.matching.RecordMatcher.score_pairs` interns every
   attribute value to an integer code, deduplicates the candidates' code
-  pairs per attribute slot with ``numpy.unique`` and calls the measure
-  once per distinct unequal value pair — on register data a few percent
-  of the per-pair value comparisons — then gathers the scores back and
-  accumulates them in the per-pair matcher's exact order.
+  pairs per attribute slot with ``numpy.unique`` and scores every
+  slot's distinct unequal value pairs — on register data a few percent
+  of the per-pair value comparisons — in one batch call of the measure
+  (Monge-Elkan: one vectorised edit-distance pass over every distinct
+  token pair), then gathers the scores back and accumulates them in the
+  per-pair matcher's exact order.  Within a worker the batch is one
+  call; sharded scoring runs one batch per shard.
 * **Sharded parallel scoring** (:func:`score_candidates_packed` with
   ``max_workers > 0``) fans the packed keys over worker processes through
   :func:`repro.core.parallel.run_shards` — deterministic shard-by-pair-key
@@ -150,6 +153,11 @@ def unpack_pairs(keys: Iterable[int], record_count: int) -> Set[Pair]:
 # -------------------------------------------------- streaming candidate gen
 
 
+def _check_window(window: int) -> None:
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
+
+
 def iter_sorted_neighborhood_keys(
     records: Sequence[Dict[str, str]], key_attribute: str, window: int
 ) -> Iterator[int]:
@@ -159,12 +167,18 @@ def iter_sorted_neighborhood_keys(
     pair within a sliding window of ``window`` records is yielded lazily
     as a packed int — nothing per-pass is materialized, and duplicates
     within the window (impossible for SNM, possible for blocking) would
-    simply collapse in the consuming set.
+    simply collapse in the consuming set.  ``window < 2`` raises
+    :class:`ValueError` at the call, before the stream is first advanced.
     """
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
+    _check_window(window)
+    _check_packable(len(records))
+    return _sorted_neighborhood_keys(records, key_attribute, window)
+
+
+def _sorted_neighborhood_keys(
+    records: Sequence[Dict[str, str]], key_attribute: str, window: int
+) -> Iterator[int]:
     record_count = len(records)
-    _check_packable(record_count)
     order = sorted(
         range(record_count),
         key=lambda index: (records[index].get(key_attribute) or "").strip(),
@@ -307,8 +321,10 @@ def sorted_neighborhood_candidates(
 
     Equals ``pack_pairs(multipass_pairs_reference(records, keys, w))`` of
     :mod:`repro.dedup._reference` — asserted by the equivalence suite —
-    without ever materializing a per-pass pair set.
+    without ever materializing a per-pass pair set.  ``window < 2`` raises
+    :class:`ValueError` even when ``key_attributes`` is empty.
     """
+    _check_window(window)
     return collect_candidates(
         (
             (attribute, iter_sorted_neighborhood_keys(records, attribute, window))
@@ -453,6 +469,13 @@ class DetectionResult:
         return best_f1(self.points)
 
 
+def _check_thresholds(thresholds: Iterable[float]) -> Tuple[float, ...]:
+    sweep = tuple(thresholds)
+    if not sweep:
+        raise ValueError("thresholds must name at least one threshold")
+    return sweep
+
+
 #: Candidate pass types :class:`DetectionPipeline` knows how to run.
 CANDIDATE_PASS_TYPES = ("snm", "lsh")
 
@@ -500,8 +523,7 @@ class DetectionPipeline:
         max_bucket_size: int = 500,
         cosine_floor: float = 0.0,
     ) -> None:
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window}")
+        _check_window(window)
         if passes < 1:
             raise ValueError(f"passes must be >= 1, got {passes}")
         if workers < 0:
@@ -520,9 +542,7 @@ class DetectionPipeline:
         self.window = window
         self.passes = passes
         self.key_attributes = tuple(key_attributes) if key_attributes else None
-        self.thresholds = tuple(thresholds)
-        if not self.thresholds:
-            raise ValueError("thresholds must name at least one threshold")
+        self.thresholds = _check_thresholds(thresholds)
         self.workers = workers
         self.shards = shards if shards is not None else max(workers, 1)
         if self.shards < 1:
@@ -639,14 +659,17 @@ class DetectionPipeline:
         Every gold pair must be ``(i, j)`` with ``0 <= i < j < len(records)``
         (:class:`ValueError` otherwise): a reversed pair could never be a
         true positive, and an out-of-range one would alias another pair's
-        packed key.
+        packed key.  An empty ``thresholds`` sweep raises
+        :class:`ValueError` as well, before any candidate is generated.
         """
+        sweep = (
+            _check_thresholds(thresholds) if thresholds is not None else self.thresholds
+        )
         record_count = len(records)
         gold = gold or set()
         gold_keys = pack_pairs(gold, record_count)
         candidate_keys, stats = self.candidates(records, attributes)
         similarities = self.score(records, candidate_keys, matcher)
-        sweep = tuple(thresholds) if thresholds is not None else self.thresholds
         points = evaluate_thresholds(similarities, gold, sweep)
         gold_missed = len(gold_keys - candidate_keys)
         return DetectionResult(

@@ -13,7 +13,7 @@ attributes (Section 6.3).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.textsim import fast
 from repro.textsim.base import SimilarityMeasure, normalize_for_comparison
@@ -99,3 +99,15 @@ class MongeElkan(SimilarityMeasure):
         if self.symmetric:
             return symmetric_monge_elkan(left, right, self.token_similarity)
         return monge_elkan(left, right, self.token_similarity)
+
+    def similarities(self, lefts: Sequence[str], rights: Sequence[str]) -> List[float]:
+        """Per-pair :meth:`similarity` of every ``(lefts[k], rights[k])``.
+
+        The symmetric measure with the default Damerau-Levenshtein internal
+        measure scores all pairs through one vectorised edit-distance pass
+        (:func:`repro.textsim.fast.symmetric_monge_elkan_many`), with the
+        same floats as the per-pair path.
+        """
+        if self.symmetric and self.token_similarity is damerau_levenshtein_similarity:
+            return fast.symmetric_monge_elkan_many(lefts, rights)
+        return super().similarities(lefts, rights)

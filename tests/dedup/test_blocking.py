@@ -7,6 +7,7 @@ from repro.dedup import (
     sorted_neighborhood_candidates,
     unpack_pairs,
 )
+from repro.dedup.pipeline import iter_sorted_neighborhood_keys
 
 
 RECORDS = [
@@ -68,6 +69,15 @@ class TestSortedNeighborhoodCandidates:
 
     def test_empty_records(self):
         assert snm_pairs([], ["x"], window=5) == set()
+
+    def test_pass_stream_rejects_window_when_called(self):
+        # Before the stream is first advanced.
+        with pytest.raises(ValueError):
+            iter_sorted_neighborhood_keys(RECORDS, "last_name", window=1)
+
+    def test_invalid_window_without_key_attributes(self):
+        with pytest.raises(ValueError):
+            sorted_neighborhood_candidates(RECORDS, [], window=1)
 
 
 class TestMultipass:

@@ -7,8 +7,8 @@ equality — not approximate — for every optimised stage:
 * packed-key candidate generation (SNM and standard blocking) against the
   eager tuple-set oracles;
 * the columnar batch scorer (``RecordMatcher.score_pairs``, behind
-  ``score_candidates_packed``) against the per-pair ``similarity``
-  accumulation;
+  ``score_candidates_packed``, with the batch Monge-Elkan measure) against
+  the per-pair ``similarity`` accumulation;
 * sharded parallel scoring against the single-process sweep, for worker
   counts 0 / 1 / 4, and the end-to-end ``DetectionPipeline`` against the
   oracles' candidates, scores and evaluation points.
@@ -254,6 +254,33 @@ class TestColumnarScorer:
         assert expected[(0, 1)] == (-3.0 + 5.0) / 2.0
         assert matcher.score_pairs(records, [(0, 1), (0, 2)]) == expected
 
+    def test_monge_elkan_batch_matches_per_pair_on_addresses(self):
+        # Multi-token names and street addresses: every token-count shape
+        # of the batch Monge-Elkan reduction, repeated tokens included.
+        import random
+
+        rng = random.Random(401)
+        first = ["MARY ANN", "MARY", "ANN MARIE", "JO ANN", "J", ""]
+        last = ["SMITH", "SMITH JONES", "DE LA CRUZ", "DELACRUZ", "VAN DER BERG"]
+        street = ["MAIN ST", "MAIN STREET", "N MAIN ST", "OLD MILL RD", "MILL RD"]
+        unit = ["", "APT 2", "APT 2B", "UNIT 2 APT 2", "#2"]
+        records = [
+            {
+                "first_name": rng.choice(first),
+                "midl_name": rng.choice(first),
+                "last_name": rng.choice(last),
+                "city": f"{rng.randrange(1, 30)} {rng.choice(street)} {rng.choice(unit)}",
+                "zip": rng.choice(["27601", "27601 1234", ""]),
+            }
+            for _ in range(40)
+        ]
+        weights = {attribute: 1.0 + index for index, attribute in enumerate(ATTRIBUTES)}
+        matcher = RecordMatcher(MongeElkan(), weights, NAME_ATTRIBUTES)
+        pairs = [(i, j) for i in range(len(records)) for j in range(i + 1, len(records))]
+        assert matcher.score_pairs(records, pairs) == {
+            (i, j): matcher.similarity(records[i], records[j]) for i, j in pairs
+        }
+
     def test_measure_called_once_per_distinct_value_pair(self):
         calls = []
 
@@ -419,3 +446,13 @@ class TestEndToEndEquivalence:
         pipeline = DetectionPipeline(window=3, key_attributes=("a",))
         with pytest.raises(ValueError):
             pipeline.detect(records, ("a",), matcher, {(0, 2), pair})
+
+    def test_detect_rejects_empty_thresholds_before_any_work(self):
+        def failing(left, right):
+            raise AssertionError("scored a pair before validating thresholds")
+
+        records = [{"a": "X"}, {"a": "Y"}, {"a": "X"}]
+        matcher = RecordMatcher(failing, {"a": 1.0}, name_attributes=())
+        pipeline = DetectionPipeline(window=3, key_attributes=("a",))
+        with pytest.raises(ValueError, match="threshold"):
+            pipeline.detect(records, ("a",), matcher, {(0, 2)}, thresholds=())

@@ -5,7 +5,8 @@
 equality — not approximate — for every optimised kernel: the bit-parallel
 edit-distance kernel (short strings, strings longer than one machine word,
 non-ASCII text), the length-prefiltered ``*_within`` variants, token-interned
-Monge-Elkan with its single-token shortcut and the q-gram count prefilter.
+Monge-Elkan with its single-token shortcut, the batch kernel's ``uint64``
+lanes and batch Monge-Elkan, and the q-gram count prefilter.
 """
 
 import itertools
@@ -206,6 +207,85 @@ def test_within_rejects_negative_bound():
         levenshtein_within("A", "B", -1)
     with pytest.raises(ValueError):
         damerau_levenshtein_within("A", "B", -1)
+
+
+# The batch kernel's lanes: lengths on both sides of one 64-bit lane (and
+# 200, the scalar fallback), over ASCII, umlauts, a combining mark (U+0301),
+# an astral character (U+1D538) and NUL, which equals the code-point-0
+# padding of a shorter string's ``uint32`` view.
+lane_alphabet = "AB\x00Äé\u0301\U0001d538"
+lane_text = st.one_of(
+    st.text(alphabet=lane_alphabet, max_size=8),
+    st.sampled_from([0, 1, 63, 64, 65, 200]).flatmap(
+        lambda size: st.text(alphabet=lane_alphabet, min_size=size, max_size=size)
+    ),
+)
+
+
+@given(st.lists(st.tuples(lane_text, lane_text), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_edit_distance_many_matches_reference_lane_for_lane(pairs):
+    lefts = [left for left, _ in pairs]
+    rights = [right for _, right in pairs]
+    assert fast._edit_distance_many(lefts, rights, False).tolist() == [
+        ref.levenshtein_distance(left, right) for left, right in pairs
+    ]
+    assert fast._edit_distance_many(lefts, rights, True).tolist() == [
+        ref.damerau_levenshtein_distance(left, right) for left, right in pairs
+    ]
+
+
+def test_edit_distance_many_exhaustive_small_alphabet():
+    """Every pair over {A, B, NUL} up to length 4, in one batch."""
+    values = [
+        "".join(chars)
+        for length in range(5)
+        for chars in itertools.product("AB\x00", repeat=length)
+    ]
+    pairs = list(itertools.product(values, repeat=2))
+    lefts = [left for left, _ in pairs]
+    rights = [right for _, right in pairs]
+    assert fast._edit_distance_many(lefts, rights, True).tolist() == [
+        ref.damerau_levenshtein_distance(left, right) for left, right in pairs
+    ]
+
+
+# Values of zero, one or many tokens, repeated tokens included.
+me_values = st.lists(
+    st.sampled_from(["A", "AB", "BA", "ABC", "SMITH", "SMYTH", "É\u0301", "\x00B"]),
+    max_size=5,
+).map(" ".join)
+
+
+@given(st.lists(st.tuples(me_values, me_values), max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_symmetric_monge_elkan_many_matches_reference(pairs):
+    lefts = [left for left, _ in pairs]
+    rights = [right for _, right in pairs]
+    assert fast.symmetric_monge_elkan_many(lefts, rights) == [
+        ref.symmetric_monge_elkan(left, right) for left, right in pairs
+    ]
+
+
+def test_symmetric_monge_elkan_many_mixed_batch():
+    pairs = [
+        ("", ""),
+        ("", "SMITH"),
+        ("SMITH", "SMYTH"),
+        ("SMITH", "SMITH"),
+        ("JOHN SMITH", "SMITH"),
+        ("MARY ANN", "ANN MARIE"),
+        ("ANN ANN ANN", "ANN MARIE ANNE"),
+        ("1 MAIN ST APT 2", "1 MAIN STREET APT 2B"),
+        ("A" * 70, "A" * 69 + "B"),
+        ("   ", "SMITH"),
+    ]
+    lefts = [left for left, _ in pairs]
+    rights = [right for _, right in pairs]
+    assert fast.symmetric_monge_elkan_many(lefts, rights) == [
+        symmetric_monge_elkan(left, right) for left, right in pairs
+    ]
+    assert fast.symmetric_monge_elkan_many([], []) == []
 
 
 def test_caches_are_clearable():
